@@ -9,13 +9,13 @@ Four mutually cross-checking methods:
 * ``lp_discrepancy_cells``   -- general p by cell decomposition: within each
   open cell the counting term c is constant, so the integrand |c - prod x|^p
   is integrated in closed form where c = 0 and by tensor Gauss quadrature
-  elsewhere, with one dyadic refinement on cells where c - prod x changes
-  sign.
+  elsewhere, with one dyadic refinement on cells where c - prod x vanishes
+  inside or on the upper corner.
 * ``lp_discrepancy_mc``      -- seeded plain Monte Carlo, the fallback for
   d > 4, with a delta-method standard error on the 1/p-th root.
 
-Kernel double sums accumulate via math.fsum in index order, so results are
-reproducible and exact to the last bit of the summation.
+Kernel double sums stream row blocks into one math.fsum, so results are
+reproducible, exactly rounded and need memory linear in N.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 NEG_SQ_TOL = 1e-12  # squared errors in [-NEG_SQ_TOL, 0) are clamped to 0
+# kernel work per batch: B*N*d for a block of B rows in l2_discrepancy_kernel,
+# R*N*N*d for a chunk of R replications in the experiment harness; each
+# array of the batch then holds at most 2^14 float64 (128 KB)
+BLOCK_ELEMS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -56,9 +60,9 @@ class DiscrepancyResult:
 
     ``abs_error_estimate`` is 0 for the two exact methods and the
     delta-method standard error for Monte Carlo.  For cell quadrature it is
-    the refinement delta over cells with an interior kink (see
-    ``lp_discrepancy_cells``): not a bound on the error of any one rule, and
-    0 when no cell has an interior kink.  ``clamped`` records whether a
+    the refinement delta over cells with a kink inside or on their upper
+    corner (see ``lp_discrepancy_cells``): not a bound on the error of any
+    one rule, and 0 when no cell has such a kink.  ``clamped`` records whether a
     slightly negative squared error was clamped to zero.
     """
 
@@ -101,46 +105,66 @@ def _clamped_root(total: float, p: float, method: str) -> tuple[float, bool]:
     return total ** (1.0 / p), False
 
 
-def _kernel_terms(pts: np.ndarray, a: np.ndarray) -> tuple[float, float]:
-    """(sum_k a_k h_d(t_k),  sum_{k,l} a_k a_l K_d(t_k, t_l)), via fsum."""
-    h = np.prod((1.0 - pts ** 2) / 2.0, axis=1)
-    kmat = np.prod(1.0 - np.maximum(pts[:, None, :], pts[None, :, :]), axis=2)
-    t1 = math.fsum(a * h)
-    t2 = math.fsum((np.outer(a, a) * kmat).ravel())
-    return t1, t2
+def _kernel_block(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel block and representer for point arrays x (..., B, d), y (..., N, d).
 
-
-def _e2_kernel_fast(pts: np.ndarray, a: np.ndarray) -> float:
-    """Plain-numpy squared error, used in bulk by the experiment harness."""
-    d = pts.shape[1]
-    h = np.prod((1.0 - pts ** 2) / 2.0, axis=1)
-    kmat = np.prod(1.0 - np.maximum(pts[:, None, :], pts[None, :, :]), axis=2)
-    return float(3.0 ** (-d) - 2.0 * (a @ h) + a @ kmat @ a)
+    Returns K (..., B, N) with K[..., k, l] = prod_j (1 - max(x_kj, y_lj)) and
+    h (..., B) with h[..., k] = prod_j (1 - x_kj^2)/2.  Leading axes
+    broadcast, so one call serves a chunk of replications.  The products
+    run over j in order, one coordinate at a time (a reduction over a short
+    last axis is several times slower).
+    """
+    for j in range(x.shape[-1]):
+        k_j = np.maximum(x[..., :, None, j], y[..., None, :, j])
+        np.subtract(1.0, k_j, out=k_j)
+        h_j = (1.0 - x[..., j] ** 2) / 2.0
+        if j == 0:
+            kmat, h = k_j, h_j
+        else:
+            kmat *= k_j
+            h *= h_j
+    return kmat, h
 
 
 def l2_discrepancy_kernel(ps: WeightedPointSet) -> DiscrepancyResult:
-    """Exact L_2 discrepancy from the kernel formula; O(N^2 d)."""
-    d = ps.d
-    t1, t2 = _kernel_terms(ps.points, ps.weights)
+    """Exact L_2 discrepancy from the kernel formula; O(N^2 d) time.
+
+    The double sum streams blocks of B rows, B*N*d <= BLOCK_ELEMS (B >= 1),
+    into one math.fsum, so memory is O(N d) beyond a block and the value is
+    exactly rounded, whatever the block size.
+    """
+    pts, a, d, n = ps.points, ps.weights, ps.d, ps.n
+    rows = max(1, BLOCK_ELEMS // (n * d))
+
+    h_blocks = []
+
+    def block_terms(lo):
+        kmat, h = _kernel_block(pts[lo:lo + rows], pts)
+        h_blocks.append(h)
+        return (a[lo:lo + rows, None] * a * kmat).ravel().tolist()
+
+    t2 = math.fsum(chain.from_iterable(map(block_terms, range(0, n, rows))))
+    t1 = math.fsum(a * np.concatenate(h_blocks))
     e2 = math.fsum([3.0 ** (-d), -2.0 * t1, t2])
     value, clamped = _clamped_root(e2, 2.0, "kernel_p2")
     return DiscrepancyResult(
         value=value, p=2.0, method="kernel_p2", abs_error_estimate=0.0,
-        evaluations=ps.n * ps.n, d=d, n=ps.n, clamped=clamped,
+        evaluations=n * n, d=d, n=n, clamped=clamped,
     )
 
 
 _EVEN_P_GUARDS = {2: 64, 4: 16}
 
 
-def lp_discrepancy_even(ps: WeightedPointSet, p: int) -> DiscrepancyResult:
+def lp_discrepancy_even(ps: WeightedPointSet, p: float) -> DiscrepancyResult:
     """Exact L_p for even p in {2, 4} by multinomial expansion of Delta^p.
 
     Each mixed term integrates per coordinate as (1 - max(t)^{m+1})/(m+1),
-    at a combinatorial cost of O(N^p).
+    at a combinatorial cost of O(N^p).  p may be given as 2.0 or 4.0.
     """
     if p not in _EVEN_P_GUARDS:
         raise InvalidArgumentError(f"even-p expansion supports p in {{2, 4}}, got {p}")
+    p = int(p)
     if ps.n > _EVEN_P_GUARDS[p]:
         raise SizeLimitError(
             f"N={ps.n} exceeds the N<={_EVEN_P_GUARDS[p]} guard for p={p}"
@@ -180,17 +204,17 @@ def lp_discrepancy_cells(
     c = 0 (such as every cell whose lower corner dominates no point, the
     cells on the lower faces among them) carry the integrand prod x_j^p,
     which is integrated exactly in closed form.  The other cells get tensor
-    Gauss quadrature; those where c - prod(x) changes sign inside
-    (prod(lo) < c < prod(hi), from the corner extrema of prod(x)) also
-    receive one dyadic subdivision.
+    Gauss quadrature; those where c - prod(x) vanishes inside or on the
+    upper corner (prod(lo) < c <= prod(hi), from the corner extrema of
+    prod(x)) also receive one dyadic subdivision.  The upper-corner case is
+    the top cell of every rule whose weights sum to exactly 1.
 
     ``abs_error_estimate`` is the summed refinement delta |refined - base|
-    over the cells with an interior kink, taken to the value by the delta
-    method.  It is not a bound on the error of any one rule: a cell whose
-    kink lies on or just outside its boundary is not refined, yet Gauss
-    converges slowly there, and the estimate is 0 when no cell has an
-    interior kink.  ``evaluations`` counts integrand points, plus one per
-    closed-form cell.
+    over the refined cells, taken to the value by the delta method.  It is
+    not a bound on the error of any one rule: a cell whose kink lies just
+    outside its boundary is not refined, yet Gauss converges slowly there,
+    and the estimate is 0 when no cell is refined.  ``evaluations`` counts
+    integrand points, plus one per closed-form cell.
     """
     if p < 1.0:
         raise InvalidArgumentError(f"p must be >= 1, got {p}")
@@ -250,7 +274,7 @@ def lp_discrepancy_cells(
             continue
         base = integrate_box(lo, hi, c_val)
         evals += order ** d
-        if prod_lo[idx] < c_val < prod_hi[idx]:
+        if prod_lo[idx] < c_val <= prod_hi[idx]:
             refined_parts = []
             mids = [0.5 * (l + h) for l, h in zip(lo, hi)]
             for halves in product(range(2), repeat=d):
@@ -338,7 +362,13 @@ def c_kernel(rho: ProductDensity) -> KernelConstants:
 
 
 def evaluate(ps: WeightedPointSet, p: float, method: str = "auto", **kw) -> DiscrepancyResult:
-    """Dispatch to the best evaluator for (p, d), or to an explicit method."""
+    """Dispatch to the best evaluator for (p, d), or to an explicit method.
+
+    ``auto`` picks the kernel at p = 2, cells at d <= 4 and Monte Carlo
+    otherwise; Monte Carlo has no default sample count or seed, so it needs
+    ``samples=`` and ``seed=``.  A method that cannot compute the requested
+    p raises :class:`InvalidArgumentError`.
+    """
     if method == "auto":
         if p == 2.0:
             method = "kernel"
@@ -347,11 +377,18 @@ def evaluate(ps: WeightedPointSet, p: float, method: str = "auto", **kw) -> Disc
         else:
             method = "mc"
     if method == "kernel":
+        if p != 2.0:
+            raise InvalidArgumentError(f"the kernel method computes p = 2 only, got p={p}")
         return l2_discrepancy_kernel(ps)
     if method == "even":
-        return lp_discrepancy_even(ps, int(p), **kw)
+        return lp_discrepancy_even(ps, p, **kw)
     if method == "cells":
         return lp_discrepancy_cells(ps, p, **kw)
     if method == "mc":
+        missing = {"samples", "seed"} - set(kw)
+        if missing:
+            raise InvalidArgumentError(
+                f"Monte Carlo needs samples= and seed=; missing {sorted(missing)}"
+            )
         return lp_discrepancy_mc(ps, p, **kw)
     raise InvalidArgumentError(f"unknown method {method!r}")

@@ -6,8 +6,15 @@ general p, and quadrature-stability metrics.
 
 Reproducibility contract: replication r of an experiment with seed s uses the
 counter-based Philox stream keyed by (s, r), so reruns with the same config
-produce bit-identical reports regardless of replication order.  Replications
-run serially; aggregation order is fixed.
+produce bit-identical reports regardless of replication order.
+
+Replications run in chunks of R with R*N*N*d <= ``BLOCK_ELEMS`` (R >= 1):
+each replication draws its uniforms from its own stream, then the inverse CDF
+and the pdf run once per chunk, and at p = 2 one batched kernel call gives
+the kernel terms of the whole chunk.  Other p evaluate one replication at a
+time.  A replication's stream also serves its redraws and any Monte Carlo
+seed, in that order, so chunking leaves every draw unchanged.  Aggregation
+order is fixed.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,7 +30,8 @@ import numpy as np
 from .core import ProductDensity, WeightedPointSet, initial_error
 from .density import Density1D, optimal_density
 from .discrepancy import (
-    _e2_kernel_fast,
+    BLOCK_ELEMS,
+    _kernel_block,
     c_kernel,
     evaluate,
     lp_discrepancy_cells,
@@ -60,12 +69,13 @@ class ExperimentConfig:
     density_file: str | None = None
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise InvalidArgumentError(f"p must be >= 1, got {self.p}")
-        if self.d < 1 or self.N < 1:
-            raise InvalidArgumentError("need d >= 1 and N >= 1")
-        if self.replications < 2:
-            raise InvalidArgumentError("need at least 2 replications")
+        if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
+                or not math.isfinite(self.p) or self.p < 1.0):
+            raise InvalidArgumentError(f"p must be a finite number >= 1, got {self.p!r}")
+        _check_counts(d=(self.d, 1), N=(self.N, 1),
+                      replications=(self.replications, 2), seed=(self.seed, 0))
+        if self.evaluator == "kernel_p2" and self.p != 2.0:
+            raise InvalidArgumentError(f"evaluator kernel_p2 needs p = 2, got p={self.p}")
         if self.density_kind not in _DENSITY_KINDS:
             raise InvalidArgumentError(f"unknown density_kind {self.density_kind!r}")
         if self.evaluator not in _EVALUATORS:
@@ -113,6 +123,13 @@ class ExperimentReport:
             writer.writerow([data[k] for k in sorted(data)])
 
 
+def _check_counts(**counts) -> None:
+    """Raise unless each name=(value, low) pair has an integer value >= low."""
+    for name, (value, low) in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _rng(seed: int, *stream) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.Philox(ss))
@@ -134,27 +151,49 @@ def _marginal_for(kind: str, p: float, density_file=None) -> Density1D:
     return Density1D.from_table(np.asarray(t), np.asarray(rho))
 
 
-def _sample_rep(rng, n, d, marginal):
-    """One replication of N i.i.d. points with importance weights.
+def _chunks(replications: int, n: int, d: int) -> list[range]:
+    """Consecutive ranges of R replications, R*N*N*d <= BLOCK_ELEMS (one
+    replication when N*N*d is larger)."""
+    size = max(1, BLOCK_ELEMS // (n * n * d))
+    return [range(lo, min(lo + size, replications)) for lo in range(0, replications, size)]
 
-    Returns (points, weights, resample_count).  A draw landing where the
-    density vanishes (probability zero in exact arithmetic) is redrawn and
-    counted, to surface sampler bugs.
+
+def _sample_chunk(rngs, n, d, marginal):
+    """N i.i.d. points with importance weights per replication, one
+    replication per generator in ``rngs``.
+
+    Returns (points (R, N, d), weights (R, N), resample_count).  A draw
+    landing where the density vanishes (probability zero in exact
+    arithmetic) is redrawn from its replication's generator and counted, to
+    surface sampler bugs.
     """
+    t = _ppf_below_one(marginal, np.stack([rng.random((n, d)) for rng in rngs]))
+    rho = marginal.pdf_fast(t.ravel()).reshape(t.shape).prod(axis=-1)
     resamples = 0
-    t = marginal.ppf(rng.random((n, d)).ravel()).reshape(n, d)
-    np.minimum(t, np.nextafter(1.0, 0.0), out=t)
-    rho = marginal.pdf_fast(t.ravel()).reshape(n, d).prod(axis=1)
-    while np.any(rho <= 0.0):
-        bad = rho <= 0.0
-        resamples += int(bad.sum())
-        nb = int(bad.sum())
-        tb = marginal.ppf(rng.random((nb, d)).ravel()).reshape(nb, d)
-        np.minimum(tb, np.nextafter(1.0, 0.0), out=tb)
-        t[bad] = tb
-        rho[bad] = marginal.pdf_fast(tb.ravel()).reshape(nb, d).prod(axis=1)
-    a = 1.0 / (n * rho)
-    return t, a, resamples
+    for i in np.flatnonzero(np.any(rho <= 0.0, axis=1)):
+        ti, rhoi = t[i], rho[i]
+        while np.any(rhoi <= 0.0):
+            bad = rhoi <= 0.0
+            nb = int(bad.sum())
+            resamples += nb
+            tb = _ppf_below_one(marginal, rngs[i].random((nb, d)))
+            ti[bad] = tb
+            rhoi[bad] = marginal.pdf_fast(tb.ravel()).reshape(nb, d).prod(axis=1)
+    return t, 1.0 / (n * rho), resamples
+
+
+def _ppf_below_one(marginal, u):
+    """Inverse-CDF points of the uniforms u (any shape), kept below 1 so that
+    every point lies in [0, 1)."""
+    t = marginal.ppf(u.ravel()).reshape(u.shape)
+    return np.minimum(t, np.nextafter(1.0, 0.0), out=t)
+
+
+def _kernel_sums(t, a):
+    """Per replication of a chunk: t1 = sum_k a_k h_d(t_k) and
+    t2 = sum_{k,l} a_k a_l K_d(t_k, t_l)."""
+    kmat, h = _kernel_block(t, t)
+    return np.einsum("rk,rk->r", a, h), np.einsum("rk,rkl,rl->r", a, kmat, a)
 
 
 def _lp_pow_d1_exact(t: np.ndarray, a: np.ndarray, p: float) -> float:
@@ -172,9 +211,27 @@ def _lp_pow_d1_exact(t: np.ndarray, a: np.ndarray, p: float) -> float:
     return float(np.sum(a1 ** pp1 - a2 ** pp1 + b1 ** pp1 - b2 ** pp1) / pp1)
 
 
+def _lp_pow_values(p, n, d, marginal, evaluator, replications, stream, c_factor=1.0):
+    """Integral of |Delta|^p for each replication, replication r drawn from
+    ``_rng(*stream, r)`` with weights scaled by ``c_factor``.  Returns
+    (values, resample_count)."""
+    values = np.empty(replications)
+    resamples = 0
+    for reps in _chunks(replications, n, d):
+        rngs = [_rng(*stream, r) for r in reps]
+        t, a, rs = _sample_chunk(rngs, n, d, marginal)
+        resamples += rs
+        a *= c_factor
+        if evaluator == "kernel_p2" or (evaluator == "auto" and p == 2.0):
+            t1, t2 = _kernel_sums(t, a)
+            values[reps.start:reps.stop] = 3.0 ** (-d) - 2.0 * t1 + t2
+        else:
+            for r, tr, ar, rng in zip(reps, t, a, rngs):
+                values[r] = _lp_pow_one_rep(tr, ar, p, d, evaluator, rng)
+    return values, resamples
+
+
 def _lp_pow_one_rep(t, a, p, d, evaluator, rng):
-    if evaluator == "kernel_p2" or (evaluator == "auto" and p == 2.0):
-        return _e2_kernel_fast(t, a)
     if evaluator in ("auto", "cell_quadrature") and d == 1:
         return _lp_pow_d1_exact(t[:, 0], a, p)
     ps = WeightedPointSet(t, a)
@@ -193,13 +250,10 @@ def run_average_discrepancy(cfg: ExperimentConfig) -> ExperimentReport:
         kind = {"uniform": "uniform", "optimal": "optimal", "custom-file": "custom"}
         kc = c_kernel(ProductDensity(cfg.d, marginal, kind[cfg.density_kind]))
         c_factor = optimal_c_rescale(cfg.N, cfg.d, kc.C_K)
-    lp_vals = np.empty(cfg.replications)
-    resamples = 0
-    for r in range(cfg.replications):
-        rng = _rng(cfg.seed, r)
-        t, a, rs = _sample_rep(rng, cfg.N, cfg.d, marginal)
-        resamples += rs
-        lp_vals[r] = _lp_pow_one_rep(t, c_factor * a, cfg.p, cfg.d, cfg.evaluator, rng)
+    lp_vals, resamples = _lp_pow_values(
+        cfg.p, cfg.N, cfg.d, marginal, cfg.evaluator, cfg.replications,
+        (cfg.seed,), c_factor,
+    )
     mean = float(lp_vals.mean())
     se = float(lp_vals.std(ddof=1) / math.sqrt(cfg.replications))
     av = mean ** (1.0 / cfg.p) if mean > 0.0 else 0.0
@@ -255,22 +309,19 @@ def c_rescale_experiment(
     quadratic kernel terms, so the ratio estimate is tightly coupled; the
     standard error uses the delta method for a ratio of means.
     """
+    _check_counts(N=(N, 1), d=(d, 1), replications=(replications, 2), seed=(seed, 0))
     marginal = _marginal_for(density_kind, 2.0)
     kind = "uniform" if density_kind == "uniform" else "optimal"
     kc = c_kernel(ProductDensity(d, marginal, kind))
     c_star = optimal_c_rescale(N, d, kc.C_K)
+    t1 = np.empty(replications)
+    t2 = np.empty(replications)
+    for reps in _chunks(replications, N, d):
+        t, a, _ = _sample_chunk([_rng(seed, r) for r in reps], N, d, marginal)
+        t1[reps.start:reps.stop], t2[reps.start:reps.stop] = _kernel_sums(t, a)
     base = 3.0 ** (-d)
-    e2_plain = np.empty(replications)
-    e2_resc = np.empty(replications)
-    for r in range(replications):
-        rng = _rng(seed, r)
-        t, a, _ = _sample_rep(rng, N, d, marginal)
-        h = np.prod((1.0 - t ** 2) / 2.0, axis=1)
-        kmat = np.prod(1.0 - np.maximum(t[:, None, :], t[None, :, :]), axis=2)
-        t1 = float(a @ h)
-        t2 = float(a @ kmat @ a)
-        e2_plain[r] = base - 2.0 * t1 + t2
-        e2_resc[r] = base - 2.0 * c_star * t1 + c_star ** 2 * t2
+    e2_plain = base - 2.0 * t1 + t2
+    e2_resc = base - 2.0 * c_star * t1 + c_star ** 2 * t2
     mx = float(e2_plain.mean())
     my = float(e2_resc.mean())
     ratio = my / mx
@@ -302,6 +353,8 @@ def asymptotic_scaling_probe(
     dicts {N, n_av_p, scaled, std_error_scaled}.
     """
     N_grid = list(N_grid)
+    _check_counts(d=(d, 1), replications=(replications, 2), seed=(seed, 0),
+                  **{f"N_grid[{i}]": (n, 1) for i, n in enumerate(N_grid)})
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise InvalidArgumentError("N_grid must be strictly increasing")
     if N_grid[-1] > 2 ** 16:
@@ -309,11 +362,7 @@ def asymptotic_scaling_probe(
     marginal = _marginal_for(density_kind, p)
     rows = []
     for block, n in enumerate(N_grid):
-        lp_vals = np.empty(replications)
-        for r in range(replications):
-            rng = _rng(seed, block, r)
-            t, a, _ = _sample_rep(rng, n, d, marginal)
-            lp_vals[r] = _lp_pow_one_rep(t, a, p, d, "auto", rng)
+        lp_vals, _ = _lp_pow_values(p, n, d, marginal, "auto", replications, (seed, block))
         mean = float(lp_vals.mean())
         se_mean = float(lp_vals.std(ddof=1) / math.sqrt(replications))
         n_av = mean ** (1.0 / p) / initial_error(p, d)

@@ -1,6 +1,7 @@
 """Cross-validation tests for the four discrepancy evaluators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from disclab.core import ProductDensity, WeightedPointSet, initial_error
 from disclab.density import Density1D, optimal_density
 from disclab.discrepancy import (
+    BLOCK_ELEMS,
     c_kernel,
     evaluate,
     l2_discrepancy_kernel,
@@ -15,7 +17,7 @@ from disclab.discrepancy import (
     lp_discrepancy_even,
     lp_discrepancy_mc,
 )
-from disclab.errors import InvalidArgumentError, SizeLimitError
+from disclab.errors import DisclabError, InvalidArgumentError, SizeLimitError
 
 
 def random_sets(count, seed, max_n=8):
@@ -55,6 +57,31 @@ class TestKernelP2:
     def test_midpoint_one_point_rule(self):
         res = l2_discrepancy_kernel(WeightedPointSet([[0.5]], [1.0]))
         assert res.value == pytest.approx(1.0 / math.sqrt(12.0), abs=1e-15)
+
+    @pytest.mark.parametrize("n,d", [(701, 5), (150, 2)])
+    def test_row_blocks_bit_identical_to_full_tensor(self, n, d):
+        rows = max(1, BLOCK_ELEMS // (n * d))
+        assert 1 < rows < n and n % rows != 0
+        rng = np.random.default_rng(n)
+        pts, a = rng.random((n, d)), rng.random(n) / n
+        h = np.prod((1.0 - pts ** 2) / 2.0, axis=1)
+        kmat = np.prod(1.0 - np.maximum(pts[:, None, :], pts[None, :, :]), axis=2)
+        t1 = math.fsum(a * h)
+        t2 = math.fsum((np.outer(a, a) * kmat).ravel())
+        e2 = math.fsum([3.0 ** (-d), -2.0 * t1, t2])
+        assert l2_discrepancy_kernel(WeightedPointSet(pts, a)).value == math.sqrt(e2)
+
+    def test_memory_linear_in_n(self):
+        # the full N x N x d tensor alone would take 160 MB here
+        rng = np.random.default_rng(3)
+        ps = WeightedPointSet(rng.random((2000, 5)), np.full(2000, 1.0 / 2000))
+        tracemalloc.start()
+        try:
+            l2_discrepancy_kernel(ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
 
     def test_zero_weight_set_gives_initial_error(self):
         res = l2_discrepancy_kernel(WeightedPointSet([[0.2, 0.7]], [0.0]))
@@ -150,6 +177,15 @@ class TestCells:
         assert np.all(np.diff(err.sum(axis=0)) < 0.0)
         assert np.all(est.sum(axis=0) >= err.sum(axis=0))
 
+    def test_kink_on_upper_corner_is_refined(self):
+        # weights summing to exactly 1 put the kink of the top cell [0.5, 1]
+        # on its upper corner; unrefined, that cell reported estimate 0
+        p = 1.5
+        res = lp_discrepancy_cells(WeightedPointSet([[0.5]], [1.0]), p)
+        exact = lp_pow_d1_reference(np.array([0.5]), np.array([1.0]), p) ** (1.0 / p)
+        assert res.value == pytest.approx(exact, rel=1e-6)
+        assert res.abs_error_estimate >= abs(res.value - exact) > 0.0
+
     def test_smooth_sign_cells_have_zero_estimate(self):
         # zero-weight rule: c = 0 never lies strictly inside any cell range
         ps = WeightedPointSet([[0.5, 0.5]], [0.0])
@@ -235,6 +271,25 @@ class TestDispatch:
         assert evaluate(ps, 2.0, method="even").method == "even_p_exact"
         with pytest.raises(InvalidArgumentError):
             evaluate(ps, 2.0, method="nope")
+
+    @pytest.mark.parametrize("method,p", [
+        ("kernel", 3.0), ("kernel", 1.5), ("even", 2.5), ("even", 4.5),
+    ])
+    def test_method_rejects_p_it_cannot_compute(self, method, p):
+        with pytest.raises(InvalidArgumentError):
+            evaluate(WeightedPointSet([[0.4]], [1.0]), p, method=method)
+
+    def test_even_accepts_p4(self):
+        res = evaluate(WeightedPointSet([[0.4]], [1.0]), 4.0, method="even")
+        assert res.p == 4.0
+
+    @pytest.mark.parametrize("kw", [{}, {"samples": 2000}, {"seed": 0}])
+    def test_monte_carlo_needs_samples_and_seed(self, kw):
+        hi = WeightedPointSet(np.full((1, 5), 0.5), [1.0])
+        with pytest.raises(DisclabError):
+            evaluate(hi, 1.5, **kw)
+        with pytest.raises(DisclabError):
+            evaluate(WeightedPointSet([[0.4]], [1.0]), 1.5, method="mc", **kw)
 
     def test_record_schema(self):
         rec = evaluate(WeightedPointSet([[0.4]], [1.0]), 2.0).record()

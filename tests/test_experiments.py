@@ -8,10 +8,14 @@ import pytest
 
 from disclab.core import ProductDensity, WeightedPointSet, weights_from_density
 from disclab.density import optimal_density
-from disclab.discrepancy import c_kernel
+from disclab.discrepancy import c_kernel, evaluate
 from disclab.errors import InvalidArgumentError
 from disclab.experiments import (
     ExperimentConfig,
+    _chunks,
+    _lp_pow_values,
+    _marginal_for,
+    _rng,
     asymptotic_scaling_probe,
     c_rescale_experiment,
     exact_nav2,
@@ -27,6 +31,41 @@ def make_config(**kw):
     return ExperimentConfig(**base)
 
 
+def sample_rep_reference(rng, n, d, marginal):
+    """One replication drawn point by point from its own generator, with the
+    redraw loop of the per-replication harness: (points, weights, resamples)."""
+    below_one = np.nextafter(1.0, 0.0)
+    t = np.minimum(marginal.ppf(rng.random((n, d)).ravel()).reshape(n, d), below_one)
+    rho = marginal.pdf_fast(t.ravel()).reshape(n, d).prod(axis=1)
+    resamples = 0
+    while np.any(rho <= 0.0):
+        bad = rho <= 0.0
+        nb = int(bad.sum())
+        resamples += nb
+        tb = np.minimum(marginal.ppf(rng.random((nb, d)).ravel()).reshape(nb, d), below_one)
+        t[bad] = tb
+        rho[bad] = marginal.pdf_fast(tb.ravel()).reshape(nb, d).prod(axis=1)
+    return t, 1.0 / (n * rho), resamples
+
+
+def e2_reference(t, a):
+    """Squared L_2 error of one rule, from the full N x N x d kernel tensor."""
+    h = np.prod((1.0 - t ** 2) / 2.0, axis=1)
+    kmat = np.prod(1.0 - np.maximum(t[:, None, :], t[None, :, :]), axis=2)
+    return 3.0 ** (-t.shape[1]) - 2.0 * (a @ h) + a @ kmat @ a
+
+
+class HalfZeroDensity:
+    """Samples uniformly but has density 0 on [0, 1/2), so every coordinate
+    drawn there forces a redraw (a sampler/pdf mismatch made on purpose)."""
+
+    def ppf(self, u):
+        return np.array(u, dtype=float)
+
+    def pdf_fast(self, t):
+        return np.where(np.asarray(t) < 0.5, 0.0, 2.0)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -39,6 +78,24 @@ class TestConfig:
             make_config(c_rescale="sometimes")
         with pytest.raises(InvalidArgumentError):
             make_config(density_kind="custom-file")  # needs density_file
+
+    @pytest.mark.parametrize("field,value", [
+        ("p", float("nan")), ("p", float("inf")), ("p", "2"), ("p", True),
+        ("N", 2.5), ("N", 4.0), ("d", 1.0), ("replications", 10.5),
+        ("seed", 1.5), ("seed", -1), ("N", True),
+    ])
+    def test_rejects_non_finite_p_and_non_integer_counts(self, field, value):
+        with pytest.raises(InvalidArgumentError):
+            make_config(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = make_config(N=np.int64(4), seed=np.uint32(7))
+        assert cfg.N == 4 and cfg.seed == 7
+
+    def test_kernel_evaluator_needs_p2(self):
+        # E[L_2^2] must not be reported as the p = 1.5 mean
+        with pytest.raises(InvalidArgumentError):
+            make_config(p=1.5, evaluator="kernel_p2")
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -115,6 +172,78 @@ class TestRunAverageDiscrepancy:
         assert len(row.split(",")) == len(header.split(","))
 
 
+class TestChunkedHarness:
+    """The chunked harness against a per-replication loop keyed by _rng(seed, r)."""
+
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("kind", ("uniform", "optimal"))
+    def test_p2_matches_per_replication_reference(self, d, kind):
+        n, reps, seed = 16, 45, 2024
+        assert len(_chunks(reps, n, d)) > 1
+        marginal = _marginal_for(kind, 2.0)
+        ref = np.empty(reps)
+        for r in range(reps):
+            t, a, _ = sample_rep_reference(_rng(seed, r), n, d, marginal)
+            ref[r] = e2_reference(t, a)
+        values, resamples = _lp_pow_values(2.0, n, d, marginal, "kernel_p2", reps, (seed,))
+        assert resamples == 0
+        np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+        rep = run_average_discrepancy(ExperimentConfig(
+            p=2.0, d=d, N=n, density_kind=kind, replications=reps, seed=seed,
+            evaluator="kernel_p2"))
+        assert rep.mean_Lp_p == pytest.approx(ref.mean(), rel=1e-12)
+        assert rep.std_error == pytest.approx(
+            ref.std(ddof=1) / math.sqrt(reps), rel=1e-10)
+
+    def test_optimal_c_config_scales_weights(self):
+        n, d, reps, seed = 16, 2, 40, 77
+        marginal = _marginal_for("optimal", 2.0)
+        kc = c_kernel(ProductDensity(d, marginal, "optimal"))
+        c_star = optimal_c_rescale(n, d, kc.C_K)
+        ref = np.empty(reps)
+        for r in range(reps):
+            t, a, _ = sample_rep_reference(_rng(seed, r), n, d, marginal)
+            ref[r] = e2_reference(t, c_star * a)
+        rep = run_average_discrepancy(ExperimentConfig(
+            p=2.0, d=d, N=n, density_kind="optimal", replications=reps, seed=seed,
+            evaluator="kernel_p2", c_rescale="optimal_c"))
+        assert rep.mean_Lp_p == pytest.approx(ref.mean(), rel=1e-12)
+
+    def test_c_rescale_matches_per_replication_reference(self):
+        n, d, reps, seed = 8, 2, 300, 41
+        assert len(_chunks(reps, n, d)) > 1
+        out = c_rescale_experiment(n, d, "optimal", reps, seed)
+        marginal = _marginal_for("optimal", 2.0)
+        plain, resc = np.empty(reps), np.empty(reps)
+        for r in range(reps):
+            t, a, _ = sample_rep_reference(_rng(seed, r), n, d, marginal)
+            plain[r] = e2_reference(t, a)
+            resc[r] = e2_reference(t, out.c_star * a)
+        assert out.ratio == pytest.approx(resc.mean() / plain.mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("p,d", [(2.0, 2), (1.5, 5)])
+    def test_redraws_use_each_replications_generator(self, p, d):
+        # at d = 5 and p = 1.5 each replication also draws its Monte Carlo
+        # seed from its own generator, after its redraws
+        n, reps, seed = 3, 40 if p == 2.0 else 3, 8
+        marginal = HalfZeroDensity()
+        ref, ref_resamples = np.empty(reps), 0
+        for r in range(reps):
+            rng = _rng(seed, r)
+            t, a, rs = sample_rep_reference(rng, n, d, marginal)
+            ref_resamples += rs
+            if p == 2.0:
+                ref[r] = e2_reference(t, a)
+            else:
+                mc_seed = int(rng.integers(0, 2 ** 63 - 1))
+                ps = WeightedPointSet(t, a)
+                ref[r] = evaluate(ps, p, method="mc", samples=8192, seed=mc_seed).value ** p
+        values, resamples = _lp_pow_values(p, n, d, marginal, "auto", reps, (seed,))
+        assert ref_resamples > 0
+        assert resamples == ref_resamples
+        np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+
+
 class TestExactNav2:
     def test_uniform_n1_d1(self):
         assert exact_nav2(1, 1, "uniform") == pytest.approx(0.7071067811865476)
@@ -158,6 +287,12 @@ class TestCStar:
         b = c_rescale_experiment(4, 1, "uniform", replications=100, seed=5)
         assert a == b
 
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            c_rescale_experiment(2.5, 1, "uniform", replications=100, seed=5)
+        with pytest.raises(InvalidArgumentError):
+            c_rescale_experiment(4, 1, "uniform", replications=100, seed=-5)
+
 
 class TestScalingProbe:
     def test_grid_validation(self):
@@ -165,6 +300,8 @@ class TestScalingProbe:
             asymptotic_scaling_probe(1.0, 1, "uniform", [8, 8], 10, 0)
         with pytest.raises(InvalidArgumentError):
             asymptotic_scaling_probe(1.0, 1, "uniform", [8, 2 ** 17], 10, 0)
+        with pytest.raises(InvalidArgumentError):
+            asymptotic_scaling_probe(1.0, 1, "uniform", [8, 16.5], 10, 0)
 
     def test_p2_rows_match_closed_form(self):
         rows = asymptotic_scaling_probe(2.0, 1, "uniform", [4, 16], 1500, 11)
