@@ -21,7 +21,6 @@ from .density import (
     J_functional,
     S_of_x,
     VariationalSolution,
-    cdf_inverse,
     curve_residual,
     optimal_density,
     residual_eq_rho,

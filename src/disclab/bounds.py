@@ -17,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 
+from .density import P_MAX
 from .errors import InvalidArgumentError
 
 __all__ = [
@@ -28,8 +29,6 @@ __all__ = [
     "figure_alpha_data",
     "write_alpha_csv",
 ]
-
-P_MAX = 1e6
 
 
 def gamma_prefactor(p: float) -> float:

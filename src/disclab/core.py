@@ -225,4 +225,6 @@ def load_point_set(path) -> WeightedPointSet:
                 raise InvalidArgumentError(f"bad row {k} in {path}")
             pts[k] = [float(v) for v in row[:d]]
             w[k] = float(row[d])
+        if any(line.strip() for line in fh):
+            raise InvalidArgumentError(f"{path} has rows beyond the N={n} of its header")
     return WeightedPointSet(pts, w)

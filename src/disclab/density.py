@@ -8,11 +8,27 @@ Solves the variational problem
 whose minimizer rho* is the optimal marginal for importance sampling of the
 generalized L_p-discrepancy.  The minimizer satisfies the implicit equation
 
-    t = (1 - rho * p/(p+1))^{2/p} * (1 + rho * 2/(p+1)),           (*)
+    t = (1 - rho * p/(p+1))^{2/p} * (1 + rho * 2/(p+1)).           (*)
 
-with closed forms for p = 1 (trigonometric Cardano branch) and p = 2
-(rho*(t) = (3/2) sqrt(1-t)).  For other p the curve is obtained by bracketed
-root-finding in rho at each requested t.
+With c = p/(p+1) and e = 2/p, the curve (*) is explicit in the parameter
+s = 1 - c rho in [0, 1] (s = 0 at t = 0, s = 1 at t = 1):
+
+    t      = x(s)   = s^e (1 + e(1-s))
+    rho*   = rho(s) = (1-s)/c
+    F(t)   = F(s)   = s^e P(s)/c,   P(s) = 1 + 2(1-s)^2/p - s^2/(p+1)
+    S(t)   = S1 s^e
+    dx/ds  = e(1+e) s^{e-1} (1-s).
+
+F is the CDF in closed form: integrating rho by parts along (*) gives
+F = t rho + G(1 - c rho)/c with G(s) = s^{(p+2)/p} - s^{(2p+2)/p}/(p+1),
+which is the expression above.  ``pdf(t)`` solves x(s) = t and ``ppf(u)``
+solves F(s) = u, each by NEWTON_STEPS vectorised Newton steps in w = log s,
+so that s^e = exp(e w) keeps its precision where t^{p/2} would underflow;
+``cdf(t)`` is F at the solved s.  Optimal densities hold no table.  The pdf
+keeps its closed forms for p = 1 (trigonometric Cardano branch) and p = 2
+(rho*(t) = (3/2) sqrt(1-t), with closed-form CDF and inverse too).
+``J_functional`` of an optimal density integrates over s and calls no
+solver; ``normalization`` integrates the pdf itself, so it checks the solve.
 
 Useful facts used throughout (all following from the first integral of the
 Euler-Lagrange equation):
@@ -30,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import (
     InvalidArgumentError,
@@ -47,12 +62,16 @@ __all__ = [
     "curve_residual",
     "S_of_x",
     "J_functional",
-    "cdf_inverse",
     "variational_solution",
 ]
 
 P_MAX = 1e6
-DEFAULT_TABLE_NODES = 4096
+# Newton steps of the curve solves.  Over p in [1, 1e6] and targets from
+# 1e-320 to 1 - 2^-53, four steps bring log x(s) and five bring log F(s) to
+# within a few ulp of the target; one more step is margin.
+NEWTON_STEPS = 6
+# largest |log residual| accepted before the last Newton step
+SOLVE_TOL = 1e-9
 
 
 def rho_at_zero(p: float) -> float:
@@ -82,101 +101,131 @@ def residual_eq_rho(p: float, t: float, rho_val: float) -> float:
     return t - rhs
 
 
-def _solve_rho_u(p: float, t: float) -> tuple[float, float]:
-    """Solve (*) at one t, returning (rho, u) with u = rho(0) - rho.
+# ---------------------------------------------------------------------------
+# the curve (*) in w = log s
+# ---------------------------------------------------------------------------
 
-    For large p the curve hugs rho(0) = (p+1)/p over most of [0,1], and the
-    complement u = rho(0) - rho is the quantity that carries the precision
-    (the naive 1 - rho*p/(p+1) cancels catastrophically).  The equation in
-    u-form is  t^{p/2} = u*c * B^{p/2}  with c = p/(p+1) and
-    B = 1 + 2*rho/(p+1): solved by a contracting fixed point when u is small
-    and by bracketed root-finding in rho otherwise.
+def _log_x(p, w):
+    """log x(s) and its derivative in w = log s."""
+    e = 2.0 / p
+    m = -np.expm1(w)  # 1 - s, exact near s = 1
+    return e * w + np.log1p(e * m), e * (1.0 + e) * m / (1.0 + e * m)
+
+
+def _p_excess(p, m):
+    """P(s)/c - 1 at m = 1 - s: a sum of non-negative terms, so it keeps
+    its relative precision near s = 1."""
+    return (2.0 / p * m * m + m * (2.0 - m) / (p + 1.0)) * ((p + 1.0) / p)
+
+
+def _log_cdf(p, w):
+    """log F(s) and its derivative in w = log s."""
+    e, c = 2.0 / p, p / (p + 1.0)
+    m = -np.expm1(w)
+    q = _p_excess(p, m)
+    return e * w + np.log1p(q), e * (1.0 + e) * m * m / (c * (1.0 + q))
+
+
+def _solve_w(p, y, log_f, log_scale, m_hi):
+    """w = log s with log_f(p, w) = log y, for y in [0, 1].
+
+    Near s = 0 both curves are y ~ s^e (1+e) / scale with scale 1 for x and
+    c for F, and that start w_lo bounds the root from below, as x and F
+    never exceed it.  Near s = 1, 1 - s ~ m_hi.  Newton starts from the
+    larger of the two, and each step is clipped to [w_lo, 0].  Raises
+    SolverFailureError if a residual before the last step exceeds SOLVE_TOL.
     """
-    rmax = rho_at_zero(p)
-    c = p / (p + 1.0)
-    if t <= 0.0:
-        return rmax, 0.0
-    if t >= 1.0:
-        return 0.0, rmax
-
-    def bfun(rho):
-        return 1.0 + 2.0 * rho / (p + 1.0)
-
-    tp = t ** (p / 2.0)
-    if tp == 0.0:
-        # curve point is closer to rho(0) than one underflow quantum
-        return rmax, 0.0
-    u0 = tp / (c * bfun(rmax) ** (p / 2.0))
-    if u0 < 0.25 * rmax:
-        # fixed point u <- t^{p/2} / (c B(rmax-u)^{p/2}); contraction
-        # factor u*c/B < 1/4 in this regime
-        u = u0
-        for _ in range(200):
-            unew = tp / (c * bfun(rmax - u) ** (p / 2.0))
-            if abs(unew - u) <= 1e-15 * unew:
-                u = unew
-                break
-            u = unew
-        else:
-            raise SolverFailureError(
-                f"fixed-point solve did not converge at t={t}", t=t
-            )
-        rho = rmax - u
-    else:
-        # rho*c is bounded away from 1 here, so the direct form is safe
-        root = brentq(
-            lambda r: tp - (1.0 - r * c) * bfun(r) ** (p / 2.0),
-            0.0,
-            rmax,
-            xtol=1e-15,
-            rtol=4.0 * np.finfo(float).eps,
-            maxiter=200,
-        )
-        rho = float(root)
-        # one Newton polish; d/drho [(1-rho c) B^{p/2}] = -p(p+2)rho/(p+1)^2 B^{p/2-1}
-        fval = tp - (1.0 - rho * c) * bfun(rho) ** (p / 2.0)
-        fprime = p * (p + 2.0) * rho / (p + 1.0) ** 2 * bfun(rho) ** (p / 2.0 - 1.0)
-        if fprime > 0.0:
-            rho = min(max(rho - fval / fprime, 0.0), rmax)
-        u = rmax - rho
-    res = t - (u * c) ** (2.0 / p) * bfun(rmax - u)
-    if abs(res) > 1e-9:
+    e = 2.0 / p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_y = np.log(y)
+        w_lo = 0.5 * p * (log_y + log_scale - math.log1p(e))
+        w = np.maximum(w_lo, np.log1p(-np.minimum(m_hi, 1.0)))
+        for _ in range(NEWTON_STEPS):
+            val, slope = log_f(p, w)
+            res = val - log_y
+            step = np.divide(res, slope, out=np.zeros_like(res), where=slope > 0.0)
+            w = np.clip(w - step, w_lo, 0.0)
+    bad = np.abs(res) > SOLVE_TOL
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise SolverFailureError(
-            f"optimal-density solve failed at t={t}: residual {res:.3e}", t=t
+            f"optimal-density solve failed at p={p}, y={y[i]}: "
+            f"log residual {res[i]:.3e}", t=float(y[i]),
         )
-    return rho, u
+    return np.where(y > 0.0, w, -np.inf)
 
 
-def _solve_rho(p: float, t: float) -> float:
-    return _solve_rho_u(p, t)[0]
+def _w_of_t(p, t):
+    """w = log s of the curve points at t (pdf and cdf)."""
+    e = 2.0 / p
+    return _solve_w(p, t, _log_x, 0.0, np.sqrt(2.0 * (1.0 - t) / (e * (1.0 + e))))
+
+
+def _w_of_scalar_t(p, t):
+    """``_w_of_t`` at one float t, in scalar math: the same start, steps and
+    residual check, some 30 times faster than numpy on a 1-element array.
+    Quadrature and ``curve_residual`` ask for one point at a time."""
+    if t == 0.0:
+        return -math.inf
+    e = 2.0 / p
+    log_t = math.log(t)
+    w_lo = 0.5 * p * (log_t - math.log1p(e))
+    m_hi = math.sqrt(2.0 * (1.0 - t) / (e * (1.0 + e)))
+    w = max(w_lo, math.log1p(-m_hi)) if m_hi < 1.0 else w_lo
+    for _ in range(NEWTON_STEPS):
+        m = -math.expm1(w)
+        res = e * w + math.log1p(e * m) - log_t
+        if m > 0.0:
+            w = min(max(w - res * (1.0 + e * m) / (e * (1.0 + e) * m), w_lo), 0.0)
+    if abs(res) > SOLVE_TOL:
+        raise SolverFailureError(
+            f"optimal-density solve failed at p={p}, y={t}: log residual {res:.3e}", t=t,
+        )
+    return w
+
+
+def _w_of_u(p, u):
+    """w = log s of the quantile of u (ppf)."""
+    e, c = 2.0 / p, p / (p + 1.0)
+    return _solve_w(p, u, _log_cdf, math.log(c),
+                    np.cbrt(3.0 * c * (1.0 - u) / (e * (1.0 + e))))
+
+
+def _t_of_w(p, w):
+    """x(s) = s^e (1 + e(1-s)) at w = log s."""
+    e = 2.0 / p
+    return np.exp(e * w) * (1.0 - e * np.expm1(w))
+
+
+def _rho_of_w(p, w):
+    """rho(s) = (1-s)/c at w = log s."""
+    return -np.expm1(w) * ((p + 1.0) / p)
 
 
 def curve_residual(p: float, t: float) -> float:
-    """Residual of (*) at (t, rho*(t)), evaluated at full precision.
+    """Residual t - x(s) of (*) at the solved curve point of t.
 
-    The residual is computed through the complement u = rho(0) - rho*(t),
-    which carries the relative precision that a bare float64 rho cannot: for
-    large p the curve is so steep in rho that adjacent float64 rho values
-    straddle t-intervals far wider than machine epsilon, so plugging the
-    rounded rho into ``residual_eq_rho`` measures that quantization, not the
-    solver.  When t^{p/2} underflows, rho(0) is the correctly rounded density
-    value and the residual is reported as 0.
+    x(s) = exp(e w) (1 + e(1-s)) is evaluated from w = log s, which carries
+    the precision that a bare float64 rho cannot: for large p the curve is
+    so steep in rho that adjacent float64 rho values straddle t-intervals far
+    wider than machine epsilon, so plugging the rounded rho into
+    ``residual_eq_rho`` measures that quantization, not the solver.
     """
     if not (1.0 <= p <= P_MAX):
         raise InvalidArgumentError(f"p must be in [1, {P_MAX:g}], got {p}")
     if not (0.0 <= t <= 1.0):
         raise InvalidArgumentError(f"t must be in [0, 1], got {t}")
-    rho, u = _solve_rho_u(p, t)
-    c = p / (p + 1.0)
-    if u == 0.0:
-        return 0.0
-    return t - (u * c) ** (2.0 / p) * (1.0 + 2.0 * rho / (p + 1.0))
+    e = 2.0 / p
+    w = _w_of_scalar_t(p, float(t))
+    return float(t) - math.exp(e * w) * (1.0 - e * math.expm1(w))
 
 
-def _chebyshev_grid(n: int) -> np.ndarray:
-    """n Chebyshev-extrema nodes on [0,1], clustered at both endpoints."""
-    i = np.arange(n)
-    return 0.5 * (1.0 - np.cos(np.pi * i / (n - 1)))
+def _unit_array(v, name):
+    """v as a 1-d float array, checked to lie in [0, 1] (NaN fails)."""
+    x = np.atleast_1d(np.asarray(v, dtype=float))
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise InvalidArgumentError(f"{name} must lie in [0, 1]")
+    return x
 
 
 def _rho_p1(t: np.ndarray) -> np.ndarray:
@@ -190,8 +239,10 @@ class Density1D:
     """A probability density on [0,1] with CDF and inverse-CDF access.
 
     ``form`` is one of ``uniform``, ``closed_form_p1``, ``closed_form_p2``,
-    ``tabulated`` (optimal density for a general exponent, solved on a
-    Chebyshev grid) or ``custom`` (user-supplied pdf, tabulated CDF).
+    ``general`` (optimal density for any exponent, by the curve solves of
+    the module docstring) or ``custom`` (user-supplied pdf, tabulated CDF).
+    The optimal forms carry their exponent in ``p``; ``closed_form_p1``
+    shares the curve solves of ``general`` for its CDF and inverse.
     Instances are immutable; all evaluation methods are pure.
     """
 
@@ -200,12 +251,11 @@ class Density1D:
         self.p = p
         self._pdf_fn = pdf_fn
         if table is not None:
-            t, rho, cdf = table
+            t, cdf = table
             self._table_t = np.asarray(t, dtype=float)
-            self._table_rho = np.asarray(rho, dtype=float)
             self._table_cdf = np.asarray(cdf, dtype=float)
         else:
-            self._table_t = self._table_rho = self._table_cdf = None
+            self._table_t = self._table_cdf = None
 
     # -- constructors -------------------------------------------------------
 
@@ -214,20 +264,20 @@ class Density1D:
         return cls("uniform")
 
     @classmethod
-    def closed_form_p1(cls, n_nodes: int = DEFAULT_TABLE_NODES) -> "Density1D":
-        t = _chebyshev_grid(n_nodes)
-        rho = _rho_p1(t)
-        return cls("closed_form_p1", p=1.0, table=(t, rho, _cdf_table(t, rho)))
+    def closed_form_p1(cls) -> "Density1D":
+        return cls("closed_form_p1", p=1.0)
 
     @classmethod
     def closed_form_p2(cls) -> "Density1D":
         return cls("closed_form_p2", p=2.0)
 
     @classmethod
-    def tabulated(cls, p: float, n_nodes: int = DEFAULT_TABLE_NODES) -> "Density1D":
-        t = _chebyshev_grid(n_nodes)
-        rho = np.array([_solve_rho(p, ti) for ti in t])
-        return cls("tabulated", p=float(p), table=(t, rho, _cdf_table(t, rho)))
+    def general(cls, p: float) -> "Density1D":
+        """The optimal density by the general curve solves, at any p in
+        [1, P_MAX], including the closed-form exponents 1 and 2."""
+        if not (1.0 <= p <= P_MAX):
+            raise InvalidArgumentError(f"p must be in [1, {P_MAX:g}], got {p}")
+        return cls("general", p=float(p))
 
     @classmethod
     def from_table(cls, t, rho) -> "Density1D":
@@ -242,7 +292,7 @@ class Density1D:
         if np.any(rho < 0.0):
             raise InvalidArgumentError("custom density must be non-negative")
         pdf_fn = lambda x: np.interp(x, t, rho)
-        return cls("custom", pdf_fn=pdf_fn, table=(t, rho, _cdf_table(t, rho)))
+        return cls("custom", pdf_fn=pdf_fn, table=(t, _cdf_table(t, rho)))
 
     @classmethod
     def from_callable(cls, pdf_fn, n_nodes: int = 8193) -> "Density1D":
@@ -250,70 +300,74 @@ class Density1D:
         rho = np.asarray(pdf_fn(t), dtype=float)
         if np.any(rho < 0.0):
             raise InvalidArgumentError("custom density must be non-negative")
-        cdf = _cdf_table(t, rho)
-        return cls("custom", pdf_fn=pdf_fn, table=(t, rho, cdf))
+        return cls("custom", pdf_fn=pdf_fn, table=(t, _cdf_table(t, rho)))
 
     # -- evaluation ---------------------------------------------------------
 
+    @property
+    def _solved(self) -> bool:
+        """Whether cdf and ppf go through the curve solves."""
+        return self.form in ("closed_form_p1", "general")
+
     def pdf(self, t):
-        """Density value(s) at t.  Exact for every form (tabulated densities
-        re-solve the implicit equation at the requested t)."""
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise InvalidArgumentError("t must lie in [0, 1]")
+        """Density value(s) at t, exact for every form."""
+        if self.form == "general" and np.ndim(t) == 0:
+            t = float(t)
+            if not (0.0 <= t <= 1.0):
+                raise InvalidArgumentError("t must lie in [0, 1]")
+            return -math.expm1(_w_of_scalar_t(self.p, t)) * ((self.p + 1.0) / self.p)
+        x = _unit_array(t, "t")
         if self.form == "uniform":
             out = np.ones_like(x)
         elif self.form == "closed_form_p1":
             out = _rho_p1(x)
         elif self.form == "closed_form_p2":
             out = 1.5 * np.sqrt(np.clip(1.0 - x, 0.0, None))
-        elif self.form == "tabulated":
-            out = np.array([_solve_rho(self.p, xi) for xi in x])
+        elif self.form == "general":
+            out = _rho_of_w(self.p, _w_of_t(self.p, x))
         else:
             out = np.asarray(self._pdf_fn(x), dtype=float)
-        return float(out[0]) if scalar else out
-
-    def pdf_fast(self, t):
-        """Table-interpolated pdf for bulk sampling paths (falls back to
-        the exact pdf when no table exists)."""
-        if self._table_t is None:
-            return self.pdf(t)
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        out = np.interp(np.atleast_1d(arr), self._table_t, self._table_rho)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def cdf(self, t):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise InvalidArgumentError("t must lie in [0, 1]")
+        """CDF; closed form for every form but ``custom``, whose CDF is the
+        renormalized cumulative trapezoid of its table."""
+        x = _unit_array(t, "t")
         if self.form == "uniform":
             out = x.copy()
         elif self.form == "closed_form_p2":
             out = 1.0 - (1.0 - x) ** 1.5
+        elif self._solved:
+            w = _w_of_t(self.p, x)
+            out = np.exp(2.0 / self.p * w) * (1.0 + _p_excess(self.p, -np.expm1(w)))
         else:
             out = np.interp(x, self._table_t, self._table_cdf)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def ppf(self, u):
-        """Inverse CDF; closed form for the uniform and p=2 densities,
-        monotone interpolation of the tabulated CDF otherwise."""
-        arr = np.asarray(u, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise InvalidArgumentError("u must lie in [0, 1]")
+        """Inverse CDF; closed form for the uniform and p=2 densities, the
+        curve solve F(s) = u for the other optimal forms, and monotone
+        interpolation of the tabulated CDF for custom densities."""
+        x = _unit_array(u, "u")
         if self.form == "uniform":
             out = x.copy()
         elif self.form == "closed_form_p2":
             out = 1.0 - (1.0 - x) ** (2.0 / 3.0)
+        elif self._solved:
+            out = _t_of_w(self.p, _w_of_u(self.p, x))
         else:
             out = np.interp(x, self._table_cdf, self._table_t)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(u) == 0 else out
+
+    def ppf_pdf(self, u):
+        """(ppf(u), pdf(ppf(u))) for an array u: the sampler's points and the
+        density it weights them by.  The solved forms take both from one
+        solve of F(s) = u, so sampling and weighting use the same s."""
+        if self._solved:
+            w = _w_of_u(self.p, _unit_array(u, "u"))
+            return _t_of_w(self.p, w), _rho_of_w(self.p, w)
+        t = np.atleast_1d(self.ppf(u))
+        return t, np.atleast_1d(self.pdf(t))
 
     def normalization(self) -> float:
         """int_0^1 pdf, by adaptive quadrature on the exact pdf."""
@@ -361,7 +415,7 @@ def optimal_density(p: float) -> Density1D:
         return Density1D.closed_form_p1()
     if abs(p - 2.0) <= 1e-12:
         return Density1D.closed_form_p2()
-    return Density1D.tabulated(p)
+    return Density1D.general(p)
 
 
 def S_of_x(density: Density1D, x: float) -> float:
@@ -380,7 +434,7 @@ def S_of_x(density: Density1D, x: float) -> float:
         return float(x)
     if density.form == "closed_form_p2":
         return (4.0 / 3.0) * (1.0 - math.sqrt(max(1.0 - x, 0.0)))
-    if density.form in ("closed_form_p1", "tabulated"):
+    if density.p is not None:
         p = density.p
         s1 = (p + 2.0) / (p + 1.0)
         rho = float(density.pdf(x))
@@ -396,19 +450,29 @@ def S_of_x(density: Density1D, x: float) -> float:
 
 
 def J_functional(density: Density1D, p: float) -> float:
-    """J(rho) = int_0^1 S(x)^{p/2} dx by adaptive quadrature."""
+    """J(rho) = int_0^1 S(x)^{p/2} dx by adaptive quadrature.
+
+    For an optimal density of exponent q (not necessarily p) the integral
+    runs over its curve parameter s: S = S1 s^{2/q} and
+    dx = e(1+e) s^{e-1} (1-s) ds with e = 2/q, so J is
+    e(1+e) S1^{p/2} int (1-s) s^{e(1+p/2)-1} ds, its power of s taken as an
+    algebraic quadrature weight.  Other densities integrate S_of_x over x.
+    """
     if p < 1.0:
         raise InvalidArgumentError(f"p must be >= 1, got {p}")
-    val, err = quad(lambda x: S_of_x(density, x) ** (p / 2.0), 0.0, 1.0,
-                    epsabs=1e-10, epsrel=1e-10, limit=200)
+    if density.p is not None:
+        q = density.p
+        e, s1 = 2.0 / q, (q + 2.0) / (q + 1.0)
+        scale = e * (1.0 + e) * s1 ** (p / 2.0)
+        val, err = quad(lambda s: scale * (1.0 - s), 0.0, 1.0,
+                        weight="alg", wvar=(e * (1.0 + p / 2.0) - 1.0, 0.0),
+                        epsabs=1e-10, epsrel=1e-10, limit=200)
+    else:
+        val, err = quad(lambda x: S_of_x(density, x) ** (p / 2.0), 0.0, 1.0,
+                        epsabs=1e-10, epsrel=1e-10, limit=200)
     if not math.isfinite(val):
         raise IntegrationFailureError("J functional diverged")
     return val
-
-
-def cdf_inverse(density: Density1D, u: float):
-    """Quantile t with F(t) = u; thin wrapper over Density1D.ppf."""
-    return density.ppf(u)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,14 @@ counter-based Philox stream keyed by (s, r), so reruns with the same config
 produce bit-identical reports regardless of replication order.
 
 Replications run in chunks of R with R*N*N*d <= ``BLOCK_ELEMS`` (R >= 1):
-each replication draws its uniforms from its own stream, then the inverse CDF
-and the pdf run once per chunk, and at p = 2 one batched kernel call gives
-the kernel terms of the whole chunk.  Other p evaluate one replication at a
-time.  A replication's stream also serves its redraws and any Monte Carlo
-seed, in that order, so chunking leaves every draw unchanged.  Aggregation
-order is fixed.
+each replication draws its uniforms from its own stream, then one
+``ppf_pdf`` call per chunk gives the points and the exact density that
+weights them, and at p = 2 one batched kernel call gives the kernel terms of
+the whole chunk (in row blocks when one replication alone exceeds
+``BLOCK_ELEMS``).  Other p evaluate one replication at a time.  A
+replication's stream also serves its redraws and any Monte Carlo seed, in
+that order, so chunking leaves every draw unchanged.  Aggregation order is
+fixed.
 """
 
 from __future__ import annotations
@@ -167,8 +169,7 @@ def _sample_chunk(rngs, n, d, marginal):
     arithmetic) is redrawn from its replication's generator and counted, to
     surface sampler bugs.
     """
-    t = _ppf_below_one(marginal, np.stack([rng.random((n, d)) for rng in rngs]))
-    rho = marginal.pdf_fast(t.ravel()).reshape(t.shape).prod(axis=-1)
+    t, rho = _draw(marginal, np.stack([rng.random((n, d)) for rng in rngs]))
     resamples = 0
     for i in np.flatnonzero(np.any(rho <= 0.0, axis=1)):
         ti, rhoi = t[i], rho[i]
@@ -176,24 +177,33 @@ def _sample_chunk(rngs, n, d, marginal):
             bad = rhoi <= 0.0
             nb = int(bad.sum())
             resamples += nb
-            tb = _ppf_below_one(marginal, rngs[i].random((nb, d)))
-            ti[bad] = tb
-            rhoi[bad] = marginal.pdf_fast(tb.ravel()).reshape(nb, d).prod(axis=1)
+            ti[bad], rhoi[bad] = _draw(marginal, rngs[i].random((nb, d)))
     return t, 1.0 / (n * rho), resamples
 
 
-def _ppf_below_one(marginal, u):
-    """Inverse-CDF points of the uniforms u (any shape), kept below 1 so that
-    every point lies in [0, 1)."""
-    t = marginal.ppf(u.ravel()).reshape(u.shape)
-    return np.minimum(t, np.nextafter(1.0, 0.0), out=t)
+def _draw(marginal, u):
+    """Inverse-CDF points of the uniforms u (shape (..., d)), kept below 1 so
+    that every point lies in [0, 1), and their product densities (shape
+    (...)), both from one ``ppf_pdf`` call."""
+    t, rho = marginal.ppf_pdf(u.ravel())
+    t = np.minimum(t, np.nextafter(1.0, 0.0)).reshape(u.shape)
+    return t, rho.reshape(u.shape).prod(axis=-1)
 
 
 def _kernel_sums(t, a):
     """Per replication of a chunk: t1 = sum_k a_k h_d(t_k) and
-    t2 = sum_{k,l} a_k a_l K_d(t_k, t_l)."""
-    kmat, h = _kernel_block(t, t)
-    return np.einsum("rk,rk->r", a, h), np.einsum("rk,rkl,rl->r", a, kmat, a)
+    t2 = sum_{k,l} a_k a_l K_d(t_k, t_l).  A chunk that holds one
+    replication with N*N*d > BLOCK_ELEMS streams blocks of B rows,
+    B*N*d <= BLOCK_ELEMS, as ``l2_discrepancy_kernel`` does."""
+    n, d = t.shape[-2:]
+    rows = n if n * n * d <= BLOCK_ELEMS else max(1, BLOCK_ELEMS // (n * d))
+    t1, t2 = np.zeros(len(t)), np.zeros(len(t))
+    for lo in range(0, n, rows):
+        kmat, h = _kernel_block(t[:, lo:lo + rows], t)
+        a_rows = a[:, lo:lo + rows]
+        t1 += np.einsum("rk,rk->r", a_rows, h)
+        t2 += np.einsum("rk,rkl,rl->r", a_rows, kmat, a)
+    return t1, t2
 
 
 def _lp_pow_d1_exact(t: np.ndarray, a: np.ndarray, p: float) -> float:

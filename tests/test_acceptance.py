@@ -6,7 +6,7 @@ the full scoreboard.
 
 Note on criterion 2: the implicit-curve residual is checked through
 ``curve_residual``, which evaluates the defining equation with the complement
-u = rho(0) - rho carried at full relative precision.  For large p the curve is
+u = rho(0) - rho carried at full relative precision (as log s, s = c u).  For large p the curve is
 so steep in rho that adjacent float64 rho values straddle t-intervals many
 orders of magnitude wider than 1e-9 (about 5e-3 at p=100), so substituting a
 rounded rho into the textbook residual measures float64 quantization rather
@@ -88,12 +88,12 @@ def test_criterion_2_density_correctness(capsys):
             )
             checks.append(direct <= 1e-9)
         checks.append(abs(dl.optimal_density(p).normalization() - 1.0) <= 1e-9)
-    # closed forms for p = 1, 2 against the general tabulated solver
+    # closed forms for p = 1, 2 against the general solver
     t_cmp = np.linspace(0.0, 1.0, 101)
     for p, closed in ((1.0, dl.optimal_density(1.0)), (2.0, dl.optimal_density(2.0))):
-        tab = Density1D.tabulated(p)
+        general = Density1D.general(p)
         diff = max(
-            abs(float(tab.pdf(t)) - float(closed.pdf(t))) for t in t_cmp
+            abs(float(general.pdf(t)) - float(closed.pdf(t))) for t in t_cmp
         )
         checks.append(diff <= 1e-8)
     elapsed = time.perf_counter() - t0

@@ -207,3 +207,14 @@ class TestSerialization:
         path.write_text("2 1\n0.1 1.0\n")
         with pytest.raises(InvalidArgumentError):
             load_point_set(path)
+
+    def test_rows_beyond_header_rejected(self, tmp_path):
+        path = tmp_path / "extra.txt"
+        path.write_text("1 2\n0.1 0.5\n0.2 0.5\n0.3 0.5\n")
+        with pytest.raises(InvalidArgumentError):
+            load_point_set(path)
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("1 2\n0.1 0.5\n0.2 0.5\n\n  \n")
+        assert load_point_set(path).n == 2

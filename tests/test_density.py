@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from disclab.density import (
-    DEFAULT_TABLE_NODES,
     Density1D,
     J_functional,
     S_of_x,
-    cdf_inverse,
     curve_residual,
     optimal_density,
     residual_eq_rho,
@@ -58,8 +56,8 @@ class TestClosedForms:
         # criterion-2 style cross-check at 1e-8, away from the p-dispatch
         t = np.linspace(0.0, 1.0, 257)
         for p, closed in ((1.0, optimal_density(1.0)), (2.0, optimal_density(2.0))):
-            tab = Density1D.tabulated(p)
-            diff = np.abs(np.atleast_1d(tab.pdf(t)) - np.atleast_1d(closed.pdf(t)))
+            general = Density1D.general(p)
+            diff = np.abs(np.atleast_1d(general.pdf(t)) - np.atleast_1d(closed.pdf(t)))
             assert diff.max() <= 1e-8
 
 
@@ -89,6 +87,17 @@ class TestResidual:
         t = np.linspace(0.0, 1.0, 1001)
         res = max(abs(curve_residual(p, ti)) for ti in t)
         assert res <= 1e-9
+
+    @pytest.mark.parametrize("p", (94.47, 94.6, 94.647, 94.664, 94.73))
+    def test_former_solver_failure_band(self, p):
+        # these exponents raised SolverFailureError at t = 1.4714e-7, where
+        # the old fixed-point/bracketing switch left a residual of 1.5e-7
+        dens = optimal_density(p)
+        assert abs(curve_residual(p, 1.4714e-7)) <= 1e-9
+        assert 0.0 < dens.pdf(1.4714e-7) <= (p + 1.0) / p
+        t = np.linspace(0.0, 1.0, 1001)
+        assert max(abs(curve_residual(p, ti)) for ti in t) <= 1e-9
+        assert np.all(np.isfinite(dens.pdf(t)))
 
     @pytest.mark.parametrize("p", (1.0, 1.25, 1.5, 2.0, 3.0))
     def test_direct_residual_small_p(self, p):
@@ -128,10 +137,14 @@ class TestSolvedDensities:
             assert np.all(np.diff(rho) < 0.0)
         assert rho[0] > rho[-1]
 
-    def test_table_uses_chebyshev_nodes(self):
-        dens = Density1D.tabulated(3.0)
-        assert dens._table_t.size == DEFAULT_TABLE_NODES
-        assert dens._table_t[0] == 0.0 and dens._table_t[-1] == 1.0
+    @pytest.mark.parametrize("p", P_GRID + (1e4, 1e6))
+    def test_scalar_pdf_matches_array_pdf(self, p):
+        # one point goes through scalar math, arrays through numpy
+        dens = Density1D.general(p)
+        t = np.concatenate((np.linspace(0.0, 1.0, 401), np.logspace(-300, -1, 25),
+                            1.0 - np.logspace(-16, -1, 25)))
+        scalar = np.array([dens.pdf(float(ti)) for ti in t])
+        np.testing.assert_allclose(dens.pdf(t), scalar, rtol=0.0, atol=1e-15)
 
     def test_cdf_properties(self):
         for p in (1.0, 2.0, 3.0, 10.0):
@@ -206,13 +219,13 @@ class TestJFunctional:
 class TestCdfInverse:
     def test_p2_closed_form(self):
         dens = optimal_density(2.0)
-        assert cdf_inverse(dens, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert cdf_inverse(dens, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert dens.ppf(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert dens.ppf(1.0) == pytest.approx(1.0, abs=1e-12)
         # 1 - 0.5^{2/3}, 50-digit reference
-        assert cdf_inverse(dens, 0.5) == pytest.approx(0.37003947505256342, abs=1e-12)
+        assert dens.ppf(0.5) == pytest.approx(0.37003947505256342, abs=1e-12)
 
     def test_uniform_identity(self):
-        assert cdf_inverse(Density1D.uniform(), 0.3) == pytest.approx(0.3)
+        assert Density1D.uniform().ppf(0.3) == pytest.approx(0.3)
 
     @pytest.mark.parametrize("p", (1.0, 2.0, 3.0, 10.0))
     def test_inverse_of_cdf(self, p):
@@ -223,7 +236,7 @@ class TestCdfInverse:
 
     def test_domain_check(self):
         with pytest.raises(InvalidArgumentError):
-            cdf_inverse(Density1D.uniform(), 1.2)
+            Density1D.uniform().ppf(1.2)
 
 
 class TestVariationalSolution:
@@ -294,3 +307,16 @@ def test_optimal_density_domain():
         optimal_density(0.5)
     with pytest.raises(InvalidArgumentError):
         optimal_density(2e6)
+
+
+@pytest.mark.parametrize("dens", (Density1D.uniform(), optimal_density(1.0),
+                                  optimal_density(2.0), optimal_density(3.0)),
+                         ids=repr)
+def test_nan_rejected(dens):
+    # NaN passes a range test written as (x < 0) or (x > 1)
+    nan = np.array([0.5, float("nan")])
+    for method in (dens.pdf, dens.cdf, dens.ppf, dens.ppf_pdf):
+        with pytest.raises(InvalidArgumentError):
+            method(nan)
+    with pytest.raises(InvalidArgumentError):
+        dens.pdf(float("nan"))

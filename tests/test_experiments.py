@@ -2,20 +2,24 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from disclab.core import ProductDensity, WeightedPointSet, weights_from_density
 from disclab.density import optimal_density
-from disclab.discrepancy import c_kernel, evaluate
+from disclab.discrepancy import BLOCK_ELEMS, _kernel_block, c_kernel, evaluate
 from disclab.errors import InvalidArgumentError
 from disclab.experiments import (
     ExperimentConfig,
     _chunks,
+    _draw,
+    _kernel_sums,
     _lp_pow_values,
     _marginal_for,
     _rng,
+    _sample_chunk,
     asymptotic_scaling_probe,
     c_rescale_experiment,
     exact_nav2,
@@ -35,16 +39,18 @@ def sample_rep_reference(rng, n, d, marginal):
     """One replication drawn point by point from its own generator, with the
     redraw loop of the per-replication harness: (points, weights, resamples)."""
     below_one = np.nextafter(1.0, 0.0)
-    t = np.minimum(marginal.ppf(rng.random((n, d)).ravel()).reshape(n, d), below_one)
-    rho = marginal.pdf_fast(t.ravel()).reshape(n, d).prod(axis=1)
+
+    def draw(k):
+        t, rho = marginal.ppf_pdf(rng.random((k, d)).ravel())
+        return np.minimum(t, below_one).reshape(k, d), rho.reshape(k, d).prod(axis=1)
+
+    t, rho = draw(n)
     resamples = 0
     while np.any(rho <= 0.0):
         bad = rho <= 0.0
         nb = int(bad.sum())
         resamples += nb
-        tb = np.minimum(marginal.ppf(rng.random((nb, d)).ravel()).reshape(nb, d), below_one)
-        t[bad] = tb
-        rho[bad] = marginal.pdf_fast(tb.ravel()).reshape(nb, d).prod(axis=1)
+        t[bad], rho[bad] = draw(nb)
     return t, 1.0 / (n * rho), resamples
 
 
@@ -59,11 +65,9 @@ class HalfZeroDensity:
     """Samples uniformly but has density 0 on [0, 1/2), so every coordinate
     drawn there forces a redraw (a sampler/pdf mismatch made on purpose)."""
 
-    def ppf(self, u):
-        return np.array(u, dtype=float)
-
-    def pdf_fast(self, t):
-        return np.where(np.asarray(t) < 0.5, 0.0, 2.0)
+    def ppf_pdf(self, u):
+        t = np.array(u, dtype=float)
+        return t, np.where(t < 0.5, 0.0, 2.0)
 
 
 class TestConfig:
@@ -242,6 +246,65 @@ class TestChunkedHarness:
         assert ref_resamples > 0
         assert resamples == ref_resamples
         np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+
+
+class TestBlockedKernelSums:
+    """Replications with N*N*d > BLOCK_ELEMS stream row blocks."""
+
+    def test_large_replication_memory_is_bounded(self):
+        # unblocked, each (1, N, N) array of this config holds 33.6 MB
+        cfg = ExperimentConfig(p=2.0, d=1, N=2048, density_kind="optimal",
+                               replications=2, seed=1)
+        tracemalloc.start()
+        try:
+            run_average_discrepancy(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
+    @pytest.mark.parametrize("n,d", [(300, 1), (100, 3)])
+    def test_blocked_sums_match_unblocked(self, n, d):
+        assert n * n * d > BLOCK_ELEMS
+        t, a, _ = _sample_chunk([_rng(3, 0)], n, d, _marginal_for("optimal", 2.0))
+        kmat, h = _kernel_block(t, t)
+        t1, t2 = _kernel_sums(t, a)
+        np.testing.assert_allclose(t1, np.einsum("rk,rk->r", a, h), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(t2, np.einsum("rk,rkl,rl->r", a, kmat, a),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_small_chunks_take_one_block(self):
+        # N*N*d = 768, the largest shape of the p = 2 criteria: one block,
+        # so the sums keep their bits
+        n, d = 16, 3
+        reps = _chunks(100, n, d)[0]
+        t, a, _ = _sample_chunk([_rng(5, r) for r in reps], n, d,
+                                _marginal_for("optimal", 2.0))
+        kmat, h = _kernel_block(t, t)
+        t1, t2 = _kernel_sums(t, a)
+        assert np.array_equal(t1, np.einsum("rk,rk->r", a, h))
+        assert np.array_equal(t2, np.einsum("rk,rkl,rl->r", a, kmat, a))
+
+
+@pytest.mark.parametrize("p", (1.0, 1.5, 3.0, 10.0))
+def test_sampler_weight_moments(p):
+    # under t ~ rho*, E[1/rho] = 1 and E[1/rho^2] = int 1/rho = S1; the
+    # midpoints of 2^16 cells in u stand in for the expectation
+    u = (np.arange(2 ** 16) + 0.5) / 2 ** 16
+    marginal = _marginal_for("optimal", p)
+    t, rho = _draw(marginal, u[:, None])
+    s1 = (p + 2.0) / (p + 1.0)
+    assert abs(np.mean(1.0 / rho) - 1.0) <= 1e-3
+    assert abs(np.mean(1.0 / rho ** 2) / s1 - 1.0) <= 0.05
+    np.testing.assert_allclose(rho, marginal.pdf(t[:, 0]), rtol=1e-9, atol=0.0)
+    # The tail beyond the last midpoint, up to the largest uniform draw:
+    # a pdf that falls to 0 linearly in the last cell of an interpolation
+    # table, against the true sqrt(1 - t), is off by ~99% at u = 1 - 2^-53
+    # and puts ~1e5 on E[1/rho^2].  Rounding t to float64 alone moves the
+    # pdf there by ~1e-6.
+    u = 1.0 - 2.0 ** -np.arange(17.0, 54.0)
+    t, rho = _draw(marginal, u[:, None])
+    np.testing.assert_allclose(rho, marginal.pdf(t[:, 0]), rtol=1e-4, atol=0.0)
 
 
 class TestExactNav2:
