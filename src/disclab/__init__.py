@@ -7,7 +7,6 @@ identities and asymptotic bounds.
 """
 
 from .core import (
-    Exponent,
     ProductDensity,
     WeightedPointSet,
     discrepancy_function,

@@ -6,8 +6,6 @@ JSON config), ``bounds`` (emit the alpha comparison table) and ``verify``
 (golden-value self-checks).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or solver error.
-The environment variable DISCLAB_THREADS caps experiment parallelism (the
-current harness runs replications serially, which satisfies any cap).
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import secrets
 import sys
 
@@ -27,13 +24,6 @@ from . import discrepancy as disc_mod
 from . import experiments as exp_mod
 from .core import WeightedPointSet, load_point_set
 from .errors import DisclabError, SolverFailureError
-
-
-def thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("DISCLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _resolve_seed(args) -> int:

@@ -1,8 +1,8 @@
 """Domain types shared by all modules.
 
-Weighted point sets in [0,1)^d with non-negative quadrature weights, Hoelder
-exponent pairs, product densities, the local discrepancy function, and the
-initial (N=0) worst-case error.
+Weighted point sets in [0,1)^d with non-negative quadrature weights, product
+densities, the local discrepancy function, and the initial (N=0)
+worst-case error.
 
 Conventions
 -----------
@@ -16,7 +16,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import (
 
 __all__ = [
     "WeightedPointSet",
-    "Exponent",
     "ProductDensity",
     "discrepancy_function",
     "initial_error",
@@ -96,29 +95,6 @@ class WeightedPointSet:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n = pts.shape[0]
         return cls(pts, np.full(n, 1.0 / n))
-
-
-@dataclass(frozen=True)
-class Exponent:
-    """A Hoelder-conjugate pair 1/p + 1/q = 1 with p in [1, inf).
-
-    q is inf when p = 1.  p = inf (the star-discrepancy case) is unsupported.
-    """
-
-    p: float
-    q: float = field(init=False)
-
-    def __post_init__(self):
-        p = float(self.p)
-        if math.isinf(p):
-            raise UnsupportedExponentError("p = inf (star discrepancy) is unsupported")
-        if not (p >= 1.0):
-            raise InvalidArgumentError(f"p must be >= 1, got {p}")
-        q = math.inf if p == 1.0 else p / (p - 1.0)
-        if math.isfinite(q):
-            assert abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
 
 
 class ProductDensity:

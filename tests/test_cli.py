@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from disclab.cli import main, thread_cap
+from disclab.cli import main
 from disclab.core import WeightedPointSet, save_point_set
 from disclab.discrepancy import l2_discrepancy_kernel
 
@@ -192,12 +192,3 @@ class TestVerifyCommand:
     def test_no_match_exit_2(self, capsys):
         code, _, err = run(["verify", "--only", "zzz"], capsys)
         assert code == 2
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("DISCLAB_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("DISCLAB_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("DISCLAB_THREADS", "junk")
-    assert thread_cap() == 1

@@ -1,5 +1,5 @@
-"""Tests for the shared domain types: point sets, exponents, densities,
-the local discrepancy function and the initial error."""
+"""Tests for the shared domain types: point sets, densities, the local
+discrepancy function and the initial error."""
 
 import math
 
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from disclab.core import (
-    Exponent,
     ProductDensity,
     WeightedPointSet,
     discrepancy_function,
@@ -64,21 +63,6 @@ class TestWeightedPointSet:
     def test_zero_weights_allowed(self):
         ps = WeightedPointSet([[0.3]], [0.0])
         assert ps.total_weight == 0.0
-
-
-class TestExponent:
-    def test_conjugate_pairs(self):
-        assert Exponent(2.0).q == 2.0
-        assert Exponent(4.0).q == pytest.approx(4.0 / 3.0)
-        assert Exponent(1.0).q == math.inf
-
-    def test_infinite_p_unsupported(self):
-        with pytest.raises(UnsupportedExponentError):
-            Exponent(math.inf)
-
-    def test_p_below_one_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Exponent(0.5)
 
 
 class TestDiscrepancyFunction:

@@ -10,6 +10,7 @@ from disclab.core import ProductDensity, WeightedPointSet, initial_error
 from disclab.density import Density1D, optimal_density
 from disclab.discrepancy import (
     BLOCK_ELEMS,
+    MAX_CELLS,
     c_kernel,
     evaluate,
     l2_discrepancy_kernel,
@@ -197,6 +198,38 @@ class TestCells:
         with pytest.raises(SizeLimitError):
             lp_discrepancy_cells(ps, 2.0)
 
+    def test_evaluation_guard_raises_before_integrating(self):
+        # 13^4 cells, far under the cell guard, but ~2e4 non-zero cells of
+        # 32^4 evaluations each; one order-32 node tensor alone is 8 MB
+        rng = np.random.default_rng(4)
+        ps = WeightedPointSet(rng.random((12, 4)), np.full(12, 1.0 / 12))
+        assert 13 ** 4 < MAX_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="evaluations"):
+                lp_discrepancy_cells(ps, 1.5, order=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
+    def test_guard_counts_the_reported_evaluations(self, monkeypatch):
+        # refined cells included: equal weights 0.2 sum to 1 here
+        rng = np.random.default_rng(6)
+        ps = WeightedPointSet(rng.random((5, 3)), np.full(5, 0.2))
+        res = lp_discrepancy_cells(ps, 1.5, order=4)
+        assert res.abs_error_estimate > 0.0
+        monkeypatch.setattr("disclab.discrepancy.MAX_CELL_EVALS", res.evaluations - 1)
+        with pytest.raises(SizeLimitError, match=f"^{res.evaluations} "):
+            lp_discrepancy_cells(ps, 1.5, order=4)
+
+    def test_cell_guard(self):
+        pts = np.repeat(np.linspace(0.0, 0.99, 3200)[:, None], 2, axis=1)
+        ps = WeightedPointSet(pts, np.zeros(3200))
+        assert 3201 ** 2 > MAX_CELLS
+        with pytest.raises(SizeLimitError, match="cell count"):
+            lp_discrepancy_cells(ps, 1.5)
+
     def test_order_guard(self):
         ps = WeightedPointSet([[0.5]], [1.0])
         with pytest.raises(InvalidArgumentError):
@@ -293,4 +326,8 @@ class TestDispatch:
 
     def test_record_schema(self):
         rec = evaluate(WeightedPointSet([[0.4]], [1.0]), 2.0).record()
-        assert set(rec) == {"p", "d", "N", "method", "value", "abs_error_estimate"}
+        assert set(rec) == {
+            "p", "d", "N", "method", "value", "abs_error_estimate",
+            "evaluations", "clamped",
+        }
+        assert (rec["evaluations"], rec["clamped"]) == (1, False)
