@@ -1,10 +1,11 @@
-"""Cross-check the four discrepancy evaluators on small rules.
+"""Cross-check the discrepancy evaluators on small rules.
 
 The generalized L_p-discrepancy of a weighted point set is the L_p norm of
-Delta(x) = sum_k a_k 1_{[0,x)}(t_k) - x_1...x_d.  Four evaluators cover the
-(p, d) landscape: an exact p=2 kernel formula, an exact even-p multinomial
-expansion, cell-decomposition Gauss quadrature for any p at d <= 4, and plain
-Monte Carlo beyond that.  They must agree wherever their domains overlap.
+Delta(x) = sum_k a_k 1_{[0,x)}(t_k) - x_1...x_d.  Five evaluators cover the
+(p, d) landscape: an exact p=2 kernel formula, an exact formula at d = 1, an
+exact even-p multinomial expansion, cell-decomposition Gauss quadrature for
+any p at d <= 4, and plain Monte Carlo beyond that.  They must agree wherever
+their domains overlap.
 """
 
 import math
@@ -52,9 +53,9 @@ for p, d in ((1.0, 1), (2.0, 3), (3.0, 2)):
     val = lp_discrepancy_cells(ps0, p).value
     print(f"  p={p:g} d={d}: {val:.10f}  expected {dl.initial_error(p, d):.10f}")
 
-print("\ndispatcher: evaluate() picks kernel for p=2, cells for small d, MC above")
-for ps_, p in ((ps, 2.0), (ps, 1.5),
+print("\ndispatcher: evaluate() picks kernel for p=2, exact at d=1, cells for"
+      " small d, MC above")
+for ps_, p in ((ps, 2.0), (mid, 1.5), (ps, 1.5),
                (dl.WeightedPointSet(np.full((1, 6), 0.5), [1.0]), 2.5)):
-    res = dl.evaluate(ps_, p, samples=50_000, seed=0) if ps_.d > 4 \
-        else dl.evaluate(ps_, p)
+    res = dl.evaluate(ps_, p, samples=50_000, seed=0)
     print(f"  d={ps_.d} p={p:g} -> {res.method}: {res.value:.6f}")

@@ -32,6 +32,7 @@ from .discrepancy import (
     evaluate,
     l2_discrepancy_kernel,
     lp_discrepancy_cells,
+    lp_discrepancy_d1,
     lp_discrepancy_even,
     lp_discrepancy_mc,
 )

@@ -5,6 +5,9 @@ Subcommands: ``density`` (solve/export an optimal density), ``discrepancy``
 JSON config), ``bounds`` (emit the alpha comparison table) and ``verify``
 (golden-value self-checks).
 
+Only ``discrepancy`` and ``experiment`` take ``--seed``; ``discrepancy``
+generates and prints one only when the method it runs is Monte Carlo.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or solver error.
 """
 
@@ -24,14 +27,6 @@ from . import discrepancy as disc_mod
 from . import experiments as exp_mod
 from .core import WeightedPointSet, load_point_set
 from .errors import DisclabError, SolverFailureError
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    seed = secrets.randbits(63)
-    print(f"seed: {seed} (generated; pass --seed {seed} to reproduce)")
-    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +58,12 @@ def cmd_density(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     ps = load_point_set(args.pointset)
-    kw = {}
-    if args.method == "mc":
-        kw = {"samples": args.samples, "seed": _resolve_seed(args)}
-    elif args.method == "cells":
-        kw = {"order": args.order}
-    res = disc_mod.evaluate(ps, args.p, method=args.method, **kw)
+    seed = args.seed
+    if seed is None and disc_mod.method_for(args.p, ps.d, args.method) == "monte_carlo":
+        seed = secrets.randbits(63)
+        print(f"seed: {seed} (generated; pass --seed {seed} to reproduce)")
+    res = disc_mod.evaluate(ps, args.p, method=args.method, order=args.order,
+                            samples=args.samples, seed=seed)
     _emit(json.dumps(res.record(), sort_keys=True), args.out)
     return 0
 
@@ -194,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_parent.add_argument("--out", default=None, help="output file (default stdout)")
     out_parent.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p_dens = sub.add_parser("density", parents=[seed_parent, out_parent],
+    p_dens = sub.add_parser("density", parents=[out_parent],
                             help="solve and export an optimal density")
     p_dens.add_argument("--p", type=float, required=True)
     p_dens.add_argument("--grid", type=int, default=257)
@@ -205,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("pointset", help="point-set file: header 'd N', then rows")
     p_disc.add_argument("--p", type=float, required=True)
     p_disc.add_argument("--method", default="auto",
-                        choices=("auto", "kernel", "even", "cells", "mc"))
+                        choices=("auto", *disc_mod.METHODS))
     p_disc.add_argument("--samples", type=int, default=100_000)
     p_disc.add_argument("--order", type=int, default=8)
     p_disc.set_defaults(func=cmd_discrepancy)
@@ -215,15 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", required=True)
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_bounds = sub.add_parser("bounds", parents=[seed_parent, out_parent],
+    p_bounds = sub.add_parser("bounds", parents=[out_parent],
                               help="emit the alpha comparison table")
     p_bounds.add_argument("--pmin", type=float, default=1.0)
     p_bounds.add_argument("--pmax", type=float, default=100.0)
     p_bounds.add_argument("--steps", type=int, default=100)
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_verify = sub.add_parser("verify", parents=[seed_parent],
-                              help="run golden-value self-checks")
+    p_verify = sub.add_parser("verify", help="run golden-value self-checks")
     p_verify.add_argument("--only", default=None, help="substring filter")
     p_verify.set_defaults(func=cmd_verify)
 

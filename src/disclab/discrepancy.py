@@ -1,9 +1,11 @@
 """Evaluators for the generalized L_p-discrepancy of a weighted point set.
 
-Four mutually cross-checking methods:
+Five mutually cross-checking methods:
 
 * ``l2_discrepancy_kernel``  -- exact p=2 value via the reproducing kernel
   K_1(x,y) = 1 - max(x,y) and the representer h_d(x) = prod (1-x_j^2)/2.
+* ``lp_discrepancy_d1``      -- exact value for d = 1 and any p, in closed
+  form on each cell between sorted points.
 * ``lp_discrepancy_even``    -- exact even-p value (p in {2,4}) by multinomial
   expansion of Delta^p; every term integrates in closed form per coordinate,
   and the N^r index tuples are broadcast one first index at a time.
@@ -17,6 +19,9 @@ Four mutually cross-checking methods:
 * ``lp_discrepancy_mc``      -- seeded plain Monte Carlo, the fallback for
   d > 4, with a delta-method standard error on the 1/p-th root.
 
+``evaluate`` runs the one ``method_for`` picks.  Its one ``auto`` rule: the
+kernel at p = 2, the exact method at d = 1, cells at d <= 4, else Monte Carlo.
+
 Kernel double sums stream row blocks into one math.fsum, so results are
 reproducible, exactly rounded and need memory linear in N.  The even-p terms
 and the cell values likewise go into one math.fsum each, and every batched
@@ -27,6 +32,7 @@ they replaced, so batching changes no bit of a value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, product
@@ -47,6 +53,7 @@ __all__ = [
     "DiscrepancyResult",
     "KernelConstants",
     "l2_discrepancy_kernel",
+    "lp_discrepancy_d1",
     "lp_discrepancy_even",
     "lp_discrepancy_cells",
     "lp_discrepancy_mc",
@@ -63,13 +70,16 @@ BLOCK_ELEMS = 2 ** 14
 # cell quadrature guards on memory and time (see lp_discrepancy_cells)
 MAX_CELLS = 10_000_000
 MAX_CELL_EVALS = 4_000_000_000
+# evaluate's method names and the method tags of their results
+METHODS = {"kernel": "kernel_p2", "even": "even_p_exact",
+           "cells": "cell_quadrature", "mc": "monte_carlo"}
 
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
     """Value of L_{p,N} plus evaluation metadata.
 
-    ``abs_error_estimate`` is 0 for the two exact methods and the
+    ``abs_error_estimate`` is 0 for the three exact methods and the
     delta-method standard error for Monte Carlo.  For cell quadrature it is
     the refinement delta over cells with a kink inside or on their upper
     corner (see ``lp_discrepancy_cells``): not a bound on the error of any
@@ -106,6 +116,13 @@ class KernelConstants:
     d: int
     C_K: float
     init_sq: float
+
+
+def _check_p(p) -> None:
+    """Raise InvalidArgumentError unless p is a finite real number >= 1."""
+    if (isinstance(p, bool) or not isinstance(p, numbers.Real)
+            or not math.isfinite(p) or p < 1.0):
+        raise InvalidArgumentError(f"p must be a finite number >= 1, got {p!r}")
 
 
 def _clamped_root(total: float, p: float, method: str) -> tuple[float, bool]:
@@ -166,6 +183,30 @@ def l2_discrepancy_kernel(ps: WeightedPointSet) -> DiscrepancyResult:
     )
 
 
+def lp_discrepancy_d1(ps: WeightedPointSet, p: float) -> DiscrepancyResult:
+    """Exact L_p for d = 1 and any p >= 1: c is constant between sorted
+    points, so each of the N + 1 cells (``evaluations``) has a closed form."""
+    _check_p(p)
+    if ps.d != 1:
+        raise InvalidArgumentError(f"the exact d = 1 method needs d = 1, got d={ps.d}")
+    t = ps.points[:, 0]
+    order = np.argsort(t, kind="stable")
+    cum = np.concatenate(([0.0], np.cumsum(ps.weights[order])))
+    edges = np.concatenate(([0.0], t[order], [1.0]))
+    lo, hi = edges[:-1], edges[1:]
+    pp1 = p + 1.0
+    a1 = np.clip(cum - lo, 0.0, None)
+    a2 = np.clip(cum - hi, 0.0, None)
+    b1 = np.clip(hi - cum, 0.0, None)
+    b2 = np.clip(lo - cum, 0.0, None)
+    total = float(np.sum(a1 ** pp1 - a2 ** pp1 + b1 ** pp1 - b2 ** pp1) / pp1)
+    value, clamped = _clamped_root(total, p, "exact_d1")
+    return DiscrepancyResult(
+        value=value, p=float(p), method="exact_d1", abs_error_estimate=0.0,
+        evaluations=ps.n + 1, d=1, n=ps.n, clamped=clamped,
+    )
+
+
 _EVEN_P_GUARDS = {2: 64, 4: 16}
 
 
@@ -178,8 +219,7 @@ def lp_discrepancy_even(ps: WeightedPointSet, p: float) -> DiscrepancyResult:
     first index at a time and one coordinate at a time, so memory is
     O(N^{r-1}); all terms go into one math.fsum.
     """
-    if p not in _EVEN_P_GUARDS:
-        raise InvalidArgumentError(f"even-p expansion supports p in {{2, 4}}, got {p}")
+    method_for(p, ps.d, "even")
     p = int(p)
     if ps.n > _EVEN_P_GUARDS[p]:
         raise SizeLimitError(
@@ -280,10 +320,7 @@ def lp_discrepancy_cells(
     and the estimate is 0 when no cell is refined.  ``evaluations`` counts
     integrand points, plus one per closed-form cell.
     """
-    if p < 1.0:
-        raise InvalidArgumentError(f"p must be >= 1, got {p}")
-    if ps.d > 4:
-        raise SizeLimitError(f"cell quadrature supports d <= 4, got d={ps.d}")
+    method_for(p, ps.d, "cells")
     if not (2 <= order <= 32):
         raise InvalidArgumentError(f"order must be in [2, 32], got {order}")
     pts, a, d, n = ps.points, ps.weights, ps.d, ps.n
@@ -371,8 +408,7 @@ def lp_discrepancy_mc(
     ps: WeightedPointSet, p: float, samples: int, seed: int
 ) -> DiscrepancyResult:
     """Plain Monte Carlo estimate of L_p; deterministic for a fixed seed."""
-    if p < 1.0:
-        raise InvalidArgumentError(f"p must be >= 1, got {p}")
+    _check_p(p)
     if samples < 1000:
         raise InvalidArgumentError(f"need at least 1e3 samples, got {samples}")
     pts, a, d = ps.points, ps.weights, ps.d
@@ -429,34 +465,40 @@ def c_kernel(rho: ProductDensity) -> KernelConstants:
     return KernelConstants(d=rho.d, C_K=c_k, init_sq=init_sq)
 
 
-def evaluate(ps: WeightedPointSet, p: float, method: str = "auto", **kw) -> DiscrepancyResult:
-    """Dispatch to the best evaluator for (p, d), or to an explicit method.
-
-    ``auto`` picks the kernel at p = 2, cells at d <= 4 and Monte Carlo
-    otherwise; Monte Carlo has no default sample count or seed, so it needs
-    ``samples=`` and ``seed=``.  A method that cannot compute the requested
-    p raises :class:`InvalidArgumentError`.
-    """
+def method_for(p: float, d: int, method: str = "auto") -> str:
+    """Method tag of the evaluator ``evaluate`` runs for (p, d) under
+    ``method``; raises if p is invalid or the method cannot compute (p, d)."""
+    _check_p(p)
     if method == "auto":
         if p == 2.0:
-            method = "kernel"
-        elif ps.d <= 4:
-            method = "cells"
-        else:
-            method = "mc"
-    if method == "kernel":
-        if p != 2.0:
-            raise InvalidArgumentError(f"the kernel method computes p = 2 only, got p={p}")
+            return "kernel_p2"
+        if d == 1:
+            return "exact_d1"
+        return "cell_quadrature" if d <= 4 else "monte_carlo"
+    if method not in METHODS:
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    if method == "kernel" and p != 2.0:
+        raise InvalidArgumentError(f"the kernel method computes p = 2 only, got p={p}")
+    if method == "even" and p not in _EVEN_P_GUARDS:
+        raise InvalidArgumentError(f"even-p expansion supports p in {{2, 4}}, got {p}")
+    if method == "cells" and d > 4:
+        raise SizeLimitError(f"cell quadrature supports d <= 4, got d={d}")
+    return METHODS[method]
+
+
+def evaluate(ps: WeightedPointSet, p: float, method: str = "auto", *, order: int = 8,
+             samples: int | None = None, seed: int | None = None) -> DiscrepancyResult:
+    """L_p by the ``method_for`` method.  Cells use the Gauss ``order``, Monte
+    Carlo needs ``samples`` and ``seed``, and other methods ignore them."""
+    tag = method_for(p, ps.d, method)
+    if tag == "kernel_p2":
         return l2_discrepancy_kernel(ps)
-    if method == "even":
-        return lp_discrepancy_even(ps, p, **kw)
-    if method == "cells":
-        return lp_discrepancy_cells(ps, p, **kw)
-    if method == "mc":
-        missing = {"samples", "seed"} - set(kw)
-        if missing:
-            raise InvalidArgumentError(
-                f"Monte Carlo needs samples= and seed=; missing {sorted(missing)}"
-            )
-        return lp_discrepancy_mc(ps, p, **kw)
-    raise InvalidArgumentError(f"unknown method {method!r}")
+    if tag == "exact_d1":
+        return lp_discrepancy_d1(ps, p)
+    if tag == "even_p_exact":
+        return lp_discrepancy_even(ps, p)
+    if tag == "cell_quadrature":
+        return lp_discrepancy_cells(ps, p, order)
+    if samples is None or seed is None:
+        raise InvalidArgumentError("Monte Carlo needs samples= and seed=")
+    return lp_discrepancy_mc(ps, p, samples, seed)

@@ -13,10 +13,10 @@ each replication draws its uniforms from its own stream, then one
 ``ppf_pdf`` call per chunk gives the points and the exact density that
 weights them, and at p = 2 one batched kernel call gives the kernel terms of
 the whole chunk (in row blocks when one replication alone exceeds
-``BLOCK_ELEMS``).  Other p evaluate one replication at a time.  A
-replication's stream also serves its redraws and any Monte Carlo seed, in
-that order, so chunking leaves every draw unchanged.  Aggregation order is
-fixed.
+``BLOCK_ELEMS``).  Any other method, as ``discrepancy.method_for`` picks it,
+goes through ``evaluate`` one replication at a time.  A replication's stream
+also serves its redraws and any Monte Carlo seed, in that order, so chunking
+leaves every draw unchanged.  Aggregation order is fixed.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ from .core import ProductDensity, WeightedPointSet, initial_error
 from .density import Density1D, optimal_density
 from .discrepancy import (
     BLOCK_ELEMS,
+    METHODS,
+    _check_p,
     _kernel_block,
     c_kernel,
     evaluate,
-    lp_discrepancy_cells,
+    method_for,
 )
 from .errors import InvalidArgumentError
 
@@ -52,13 +54,11 @@ __all__ = [
     "StabilityReport",
 ]
 
-_DENSITY_KINDS = ("uniform", "optimal", "custom-file")
-_EVALUATORS = ("auto", "kernel_p2", "cell_quadrature", "monte_carlo")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Description of one seeded average-discrepancy experiment."""
+    """Description of one seeded average-discrepancy experiment;
+    ``evaluator`` is ``auto`` or a method tag of ``discrepancy.METHODS``."""
 
     p: float
     d: int
@@ -71,21 +71,12 @@ class ExperimentConfig:
     density_file: str | None = None
 
     def __post_init__(self):
-        if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
-                or not math.isfinite(self.p) or self.p < 1.0):
-            raise InvalidArgumentError(f"p must be a finite number >= 1, got {self.p!r}")
         _check_counts(d=(self.d, 1), N=(self.N, 1),
                       replications=(self.replications, 2), seed=(self.seed, 0))
-        if self.evaluator == "kernel_p2" and self.p != 2.0:
-            raise InvalidArgumentError(f"evaluator kernel_p2 needs p = 2, got p={self.p}")
-        if self.density_kind not in _DENSITY_KINDS:
-            raise InvalidArgumentError(f"unknown density_kind {self.density_kind!r}")
-        if self.evaluator not in _EVALUATORS:
-            raise InvalidArgumentError(f"unknown evaluator {self.evaluator!r}")
+        method_for(self.p, self.d, _method_name(self.evaluator))
+        _check_density(self.density_kind, self.density_file)
         if self.c_rescale not in ("none", "optimal_c"):
             raise InvalidArgumentError(f"unknown c_rescale {self.c_rescale!r}")
-        if self.density_kind == "custom-file" and not self.density_file:
-            raise InvalidArgumentError("custom-file density needs density_file")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -132,12 +123,28 @@ def _check_counts(**counts) -> None:
             raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _method_name(evaluator: str) -> str:
+    """The ``evaluate`` method name of an ExperimentConfig evaluator."""
+    names = {tag: name for name, tag in METHODS.items()}
+    if evaluator != "auto" and evaluator not in names:
+        raise InvalidArgumentError(f"unknown evaluator {evaluator!r}")
+    return names.get(evaluator, "auto")
+
+
 def _rng(seed: int, *stream) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _check_density(kind: str, density_file=None) -> None:
+    if kind not in ("uniform", "optimal", "custom-file"):
+        raise InvalidArgumentError(f"unknown density_kind {kind!r}")
+    if kind == "custom-file" and not density_file:
+        raise InvalidArgumentError("custom-file density needs density_file")
+
+
 def _marginal_for(kind: str, p: float, density_file=None) -> Density1D:
+    _check_density(kind, density_file)
     if kind == "uniform":
         return Density1D.uniform()
     if kind == "optimal":
@@ -206,25 +213,14 @@ def _kernel_sums(t, a):
     return t1, t2
 
 
-def _lp_pow_d1_exact(t: np.ndarray, a: np.ndarray, p: float) -> float:
-    """Exact integral of |Delta|^p for d = 1 (piecewise-analytic cells)."""
-    order = np.argsort(t, kind="stable")
-    ts = t[order]
-    cum = np.concatenate(([0.0], np.cumsum(a[order])))
-    edges = np.concatenate(([0.0], ts, [1.0]))
-    lo, hi = edges[:-1], edges[1:]
-    pp1 = p + 1.0
-    a1 = np.clip(cum - lo, 0.0, None)
-    a2 = np.clip(cum - hi, 0.0, None)
-    b1 = np.clip(hi - cum, 0.0, None)
-    b2 = np.clip(lo - cum, 0.0, None)
-    return float(np.sum(a1 ** pp1 - a2 ** pp1 + b1 ** pp1 - b2 ** pp1) / pp1)
-
-
 def _lp_pow_values(p, n, d, marginal, evaluator, replications, stream, c_factor=1.0):
     """Integral of |Delta|^p for each replication, replication r drawn from
-    ``_rng(*stream, r)`` with weights scaled by ``c_factor``.  Returns
+    ``_rng(*stream, r)`` with weights scaled by ``c_factor``, by the method
+    ``method_for`` picks for the config ``evaluator``.  Returns
     (values, resample_count)."""
+    method = _method_name(evaluator)
+    tag = method_for(p, d, method)
+    samples = max(8192, 4 * n)
     values = np.empty(replications)
     resamples = 0
     for reps in _chunks(replications, n, d):
@@ -232,24 +228,15 @@ def _lp_pow_values(p, n, d, marginal, evaluator, replications, stream, c_factor=
         t, a, rs = _sample_chunk(rngs, n, d, marginal)
         resamples += rs
         a *= c_factor
-        if evaluator == "kernel_p2" or (evaluator == "auto" and p == 2.0):
+        if tag == "kernel_p2":
             t1, t2 = _kernel_sums(t, a)
             values[reps.start:reps.stop] = 3.0 ** (-d) - 2.0 * t1 + t2
-        else:
-            for r, tr, ar, rng in zip(reps, t, a, rngs):
-                values[r] = _lp_pow_one_rep(tr, ar, p, d, evaluator, rng)
+            continue
+        for r, tr, ar, rng in zip(reps, t, a, rngs):
+            seed = int(rng.integers(0, 2 ** 63 - 1)) if tag == "monte_carlo" else None
+            res = evaluate(WeightedPointSet(tr, ar), p, method, samples=samples, seed=seed)
+            values[r] = res.value ** p
     return values, resamples
-
-
-def _lp_pow_one_rep(t, a, p, d, evaluator, rng):
-    if evaluator in ("auto", "cell_quadrature") and d == 1:
-        return _lp_pow_d1_exact(t[:, 0], a, p)
-    ps = WeightedPointSet(t, a)
-    if evaluator in ("auto", "cell_quadrature") and d <= 4:
-        return lp_discrepancy_cells(ps, p).value ** p
-    samples = max(8192, 4 * t.shape[0])
-    seed = int(rng.integers(0, 2 ** 63 - 1))
-    return evaluate(ps, p, method="mc", samples=samples, seed=seed).value ** p
 
 
 def run_average_discrepancy(cfg: ExperimentConfig) -> ExperimentReport:
@@ -320,9 +307,8 @@ def c_rescale_experiment(
     standard error uses the delta method for a ratio of means.
     """
     _check_counts(N=(N, 1), d=(d, 1), replications=(replications, 2), seed=(seed, 0))
-    marginal = _marginal_for(density_kind, 2.0)
-    kind = "uniform" if density_kind == "uniform" else "optimal"
-    kc = c_kernel(ProductDensity(d, marginal, kind))
+    marginal = _marginal_for(density_kind, 2.0)  # custom-file needs a file: rejected
+    kc = c_kernel(ProductDensity(d, marginal, density_kind))
     c_star = optimal_c_rescale(N, d, kc.C_K)
     t1 = np.empty(replications)
     t2 = np.empty(replications)
@@ -363,6 +349,7 @@ def asymptotic_scaling_probe(
     dicts {N, n_av_p, scaled, std_error_scaled}.
     """
     N_grid = list(N_grid)
+    _check_p(p)
     _check_counts(d=(d, 1), replications=(replications, 2), seed=(seed, 0),
                   **{f"N_grid[{i}]": (n, 1) for i, n in enumerate(N_grid)})
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
@@ -394,18 +381,14 @@ class StabilityReport:
     fdq_norm_bound: float
 
 
-def stability_metrics(ps: WeightedPointSet, p: float) -> StabilityReport:
+def stability_metrics(ps: WeightedPointSet, p: float, **options) -> StabilityReport:
     """Operator-norm surrogates: sum |a_k|, the largest single-point
     contribution sup_{|f|<=1} a_k f(t_k) = a_k sqrt(K_d(t_k,t_k)), and the
-    triangle-inequality bound ||A|| <= error + initial error."""
+    triangle-inequality bound ||A|| <= error + initial error.  The error is
+    ``evaluate(ps, p, **options)``, so d > 4 needs ``samples`` and ``seed``."""
     sum_abs = float(np.abs(ps.weights).sum())
     contrib = ps.weights * np.prod(np.sqrt(1.0 - ps.points), axis=1)
-    if p == 2.0:
-        err = evaluate(ps, 2.0).value
-    elif ps.d <= 4:
-        err = evaluate(ps, p, method="cells").value
-    else:
-        err = evaluate(ps, p, method="mc", samples=20000, seed=0).value
+    err = evaluate(ps, p, **options).value
     return StabilityReport(
         sum_abs_weights=sum_abs,
         max_term_contribution=float(contrib.max()),

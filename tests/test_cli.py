@@ -106,6 +106,28 @@ class TestDiscrepancyCommand:
         _, out2, _ = run(argv, capsys)
         assert out1 == out2
 
+    def test_auto_runs_monte_carlo_at_d5(self, tmp_path, capsys):
+        # --samples has a default and the seed is generated
+        path = tmp_path / "d5.txt"
+        save_point_set(WeightedPointSet(np.full((2, 5), 0.5), [0.5, 0.25]), path)
+        code, out, _ = run(["discrepancy", str(path), "--p", "1.5", "--samples", "2000"],
+                           capsys)
+        assert code == 0
+        seed_line, record = out.strip().splitlines()
+        assert seed_line.startswith("seed: ")
+        assert json.loads(record)["method"] == "monte_carlo"
+
+    def test_order_reaches_auto_cells(self, pointset_file, capsys):
+        path, _ = pointset_file
+        evals = []
+        for extra in ([], ["--order", "2"]):
+            code, out, _ = run(["discrepancy", str(path), "--p", "1.5", *extra], capsys)
+            assert code == 0
+            rec = json.loads(out)  # no seed line when cells run
+            assert rec["method"] == "cell_quadrature"
+            evals.append(rec["evaluations"])
+        assert evals[1] < evals[0]
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(["discrepancy", "/no/such/file", "--p", "2"], capsys)
         assert code == 2
@@ -114,6 +136,14 @@ class TestDiscrepancyCommand:
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["density", "--p", "2", "--frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds"], ["density", "--p", "2"], ["verify"],
+    ])
+    def test_seed_only_where_it_is_used(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "5"])
         assert exc.value.code == 2
 
 

@@ -1,4 +1,4 @@
-"""Cross-validation tests for the four discrepancy evaluators."""
+"""Cross-validation tests for the five discrepancy evaluators and the dispatcher."""
 
 import math
 import tracemalloc
@@ -15,10 +15,13 @@ from disclab.discrepancy import (
     evaluate,
     l2_discrepancy_kernel,
     lp_discrepancy_cells,
+    lp_discrepancy_d1,
     lp_discrepancy_even,
     lp_discrepancy_mc,
+    method_for,
 )
 from disclab.errors import DisclabError, InvalidArgumentError, SizeLimitError
+from disclab.experiments import ExperimentConfig, asymptotic_scaling_probe
 
 
 def random_sets(count, seed, max_n=8):
@@ -238,6 +241,53 @@ class TestCells:
             lp_discrepancy_cells(ps, 2.0, order=33)
 
 
+def d1_rules(count, seed):
+    """Seeded d = 1 rules (t, a), with zero weights, repeated coordinates and
+    dyadic weights summing to exactly 1 mixed in."""
+    rng = np.random.default_rng(seed)
+    rules = []
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        t, a = rng.random(n), rng.random(n) / n * 1.5
+        if i % 4 == 1:
+            a[rng.random(n) < 0.5] = 0.0
+        if i % 4 == 2:
+            t[: (n + 1) // 2] = t[0]
+        if i % 4 == 3:
+            a = rng.multinomial(16, np.full(n, 1.0 / n)) / 16.0
+            assert math.fsum(a) == 1.0 and np.cumsum(a)[-1] == 1.0
+        rules.append((t, a))
+    return rules
+
+
+class TestExactD1:
+    @pytest.mark.parametrize("p", (1.0, 1.5, 3.0))
+    def test_matches_reference(self, p):
+        for t, a in d1_rules(50, seed=41):
+            res = lp_discrepancy_d1(WeightedPointSet(t[:, None], a), p)
+            exact = lp_pow_d1_reference(t, a, p) ** (1.0 / p)
+            assert res.value == pytest.approx(exact, rel=1e-13, abs=0.0)
+            assert (res.method, res.abs_error_estimate) == ("exact_d1", 0.0)
+            assert res.evaluations == len(t) + 1
+
+    def test_matches_kernel_p2(self):
+        for t, a in d1_rules(50, seed=42):
+            ps = WeightedPointSet(t[:, None], a)
+            k = l2_discrepancy_kernel(ps).value
+            assert lp_discrepancy_d1(ps, 2.0).value == pytest.approx(k, rel=1e-13, abs=0.0)
+
+    def test_one_point_rule_exact_where_cells_is_not(self):
+        # int_0^1/2 x^1.5 dx + int_1/2^1 (1 - x)^1.5 dx = 2 (1/2)^2.5 / 2.5
+        p, ps = 1.5, WeightedPointSet([[0.5]], [1.0])
+        exact = (2.0 * 0.5 ** 2.5 / 2.5) ** (1.0 / p)
+        assert abs(evaluate(ps, p).value - exact) <= 1e-15
+        assert abs(evaluate(ps, p, method="cells").value - exact) > 5e-8
+
+    def test_rejects_other_dimensions(self):
+        with pytest.raises(InvalidArgumentError):
+            lp_discrepancy_d1(WeightedPointSet([[0.5, 0.5]], [1.0]), 1.5)
+
+
 class TestMonteCarlo:
     def test_matches_cells_statistically(self):
         for ps in random_sets(6, seed=31):
@@ -294,10 +344,41 @@ class TestDispatch:
     def test_auto_routes(self):
         ps = WeightedPointSet([[0.4]], [1.0])
         assert evaluate(ps, 2.0).method == "kernel_p2"
-        assert evaluate(ps, 1.5).method == "cell_quadrature"
+        assert evaluate(ps, 1.5).method == "exact_d1"
+        assert evaluate(WeightedPointSet([[0.4, 0.3]], [1.0]), 1.5).method == "cell_quadrature"
         hi = WeightedPointSet(np.full((1, 5), 0.5), [1.0])
         res = evaluate(hi, 1.5, samples=2000, seed=0)
         assert res.method == "monte_carlo"
+
+    @pytest.mark.parametrize("method,p", [
+        ("auto", 2.0), ("auto", 1.5), ("kernel", 2.0), ("even", 4.0), ("cells", 1.5),
+    ])
+    def test_methods_ignore_options_they_do_not_take(self, method, p):
+        ps = WeightedPointSet([[0.4, 0.7], [0.1, 0.2]], [0.5, 0.3])
+        plain = evaluate(ps, p, method=method)
+        assert evaluate(ps, p, method=method, order=8, samples=2000, seed=3) == plain
+        if plain.method != "cell_quadrature":
+            assert evaluate(ps, p, method=method, order=2) == plain
+
+    def test_cells_take_order(self):
+        ps = WeightedPointSet([[0.4, 0.7], [0.1, 0.2]], [0.5, 0.3])
+        assert (evaluate(ps, 1.5, order=2).evaluations
+                < evaluate(ps, 1.5).evaluations)
+
+    @pytest.mark.parametrize("method,d,p", [
+        ("auto", 1, 2.0), ("auto", 1, 1.5), ("auto", 4, 1.5), ("auto", 5, 1.5),
+        ("auto", 5, 2.0), ("cells", 1, 1.5), ("mc", 1, 2.0), ("even", 3, 4.0),
+    ])
+    def test_method_for_names_the_method_evaluate_runs(self, method, d, p):
+        ps = WeightedPointSet(np.full((1, d), 0.4), [1.0])
+        res = evaluate(ps, p, method=method, samples=2000, seed=0)
+        assert method_for(p, d, method) == res.method
+
+    def test_cells_reject_d5(self):
+        with pytest.raises(SizeLimitError):
+            method_for(1.5, 5, "cells")
+        with pytest.raises(SizeLimitError):
+            evaluate(WeightedPointSet(np.full((1, 5), 0.5), [1.0]), 1.5, method="cells")
 
     def test_explicit_method(self):
         ps = WeightedPointSet([[0.4]], [1.0])
@@ -331,3 +412,26 @@ class TestDispatch:
             "evaluations", "clamped",
         }
         assert (rec["evaluations"], rec["clamped"]) == (1, False)
+
+
+_PS = WeightedPointSet([[0.4]], [1.0])
+_P_ENTRY_POINTS = {
+    "evaluate": lambda p: evaluate(_PS, p),
+    "method_for": lambda p: method_for(p, 1),
+    "lp_discrepancy_d1": lambda p: lp_discrepancy_d1(_PS, p),
+    "lp_discrepancy_even": lambda p: lp_discrepancy_even(_PS, p),
+    "lp_discrepancy_cells": lambda p: lp_discrepancy_cells(_PS, p),
+    "lp_discrepancy_mc": lambda p: lp_discrepancy_mc(_PS, p, samples=1000, seed=0),
+    "ExperimentConfig": lambda p: ExperimentConfig(
+        p=p, d=1, N=4, density_kind="uniform", replications=2, seed=0),
+    "asymptotic_scaling_probe": lambda p: asymptotic_scaling_probe(p, 1, "uniform", [4], 3, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_P_ENTRY_POINTS))
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf"), 0.5, True, "2"])
+def test_invalid_p_rejected_everywhere(entry, p):
+    # evaluate(nan) once returned NaN labelled cell_quadrature, evaluate(inf)
+    # 1.0, lp_discrepancy_mc(nan) 0.0 and the scaling probe NaN rows
+    with pytest.raises(InvalidArgumentError, match="p must be"):
+        _P_ENTRY_POINTS[entry](p)

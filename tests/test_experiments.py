@@ -9,8 +9,14 @@ import pytest
 
 from disclab.core import ProductDensity, WeightedPointSet, weights_from_density
 from disclab.density import optimal_density
-from disclab.discrepancy import BLOCK_ELEMS, _kernel_block, c_kernel, evaluate
-from disclab.errors import InvalidArgumentError
+from disclab.discrepancy import (
+    BLOCK_ELEMS,
+    _kernel_block,
+    c_kernel,
+    evaluate,
+    lp_discrepancy_cells,
+)
+from disclab.errors import DisclabError, InvalidArgumentError
 from disclab.experiments import (
     ExperimentConfig,
     _chunks,
@@ -100,6 +106,20 @@ class TestConfig:
         # E[L_2^2] must not be reported as the p = 1.5 mean
         with pytest.raises(InvalidArgumentError):
             make_config(p=1.5, evaluator="kernel_p2")
+
+    @pytest.mark.parametrize("kw", [
+        dict(evaluator="cell_quadrature", d=5, p=1.5),  # once ran Monte Carlo
+        dict(evaluator="even_p_exact", p=3.0),
+        dict(evaluator="cells"),  # an evaluate name, not a result tag
+        dict(evaluator="exact_d1", p=1.5),  # picked by auto only
+    ])
+    def test_evaluator_must_compute_p_and_d(self, kw):
+        with pytest.raises(DisclabError):
+            make_config(**kw)
+
+    def test_even_p_evaluator_accepted(self):
+        cfg = make_config(p=4.0, evaluator="even_p_exact", replications=4)
+        assert run_average_discrepancy(cfg).mean_Lp_p > 0.0
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -248,6 +268,34 @@ class TestChunkedHarness:
         np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
 
 
+    def test_cells_evaluator_at_d1_runs_cells(self):
+        # at d = 1 the cell_quadrature setting once ran the exact formula
+        n, reps, seed, p = 8, 6, 13, 1.5
+        marginal = _marginal_for("optimal", p)
+        values, _ = _lp_pow_values(p, n, 1, marginal, "cell_quadrature", reps, (seed,))
+        ref = np.empty(reps)
+        for r in range(reps):
+            t, a, _ = sample_rep_reference(_rng(seed, r), n, 1, marginal)
+            ref[r] = lp_discrepancy_cells(WeightedPointSet(t, a), p).value ** p
+        np.testing.assert_allclose(values, ref, rtol=1e-14, atol=0.0)
+        auto, _ = _lp_pow_values(p, n, 1, marginal, "auto", reps, (seed,))
+        assert np.all(np.abs(auto / values - 1.0) > 1e-11)
+
+
+class TestDensityKinds:
+    @pytest.mark.parametrize("call", [
+        lambda: c_rescale_experiment(8, 2, "cauchy", 10, 0),
+        lambda: asymptotic_scaling_probe(1.5, 2, "cauchy", [4], 3, 0),
+        lambda: c_rescale_experiment(8, 2, "custom-file", 10, 0),
+        lambda: _marginal_for("custom-file", 1.5),
+        lambda: make_config(density_kind="cauchy"),
+    ])
+    def test_unknown_kind_or_missing_file_rejected(self, call):
+        # the first two once raised TypeError from open(None)
+        with pytest.raises(InvalidArgumentError, match="density"):
+            call()
+
+
 class TestBlockedKernelSums:
     """Replications with N*N*d > BLOCK_ELEMS stream row blocks."""
 
@@ -394,6 +442,13 @@ class TestStability:
         assert rec.fdq_norm_bound == pytest.approx(
             rec.error + 1.0 / math.sqrt(3.0), rel=1e-12
         )
+
+    def test_d5_goes_through_evaluate(self):
+        ps = WeightedPointSet(np.full((2, 5), 0.5), [0.5, 0.25])
+        with pytest.raises(InvalidArgumentError):
+            stability_metrics(ps, 1.5)
+        rec = stability_metrics(ps, 1.5, samples=3000, seed=4)
+        assert rec.error == evaluate(ps, 1.5, samples=3000, seed=4).value
 
     def test_p2_sampled_weights_flat_contribution(self):
         # f(t)/rho*(t) = 2/3 identically for the p=2 optimal density, so every
