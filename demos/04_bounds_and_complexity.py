@@ -25,8 +25,8 @@ for p in (1.0, 2.0, 4.0, 10.0, 100.0):
 
 print("\npoint counts for error eps=0.1 at p=2 (C=1):")
 for d in (5, 10, 20):
-    old = complexity_estimate(2.0, d, 0.1, 1.0, bounds_row(2.0).alpha_old)
-    new = complexity_estimate(2.0, d, 0.1, 1.0, bounds_row(2.0).alpha_new)
+    old = complexity_estimate(d, 0.1, 1.0, bounds_row(2.0).alpha_old)
+    new = complexity_estimate(d, 0.1, 1.0, bounds_row(2.0).alpha_new)
     print(f"  d={d:<3} uniform ~{old:12.0f}   optimal ~{new:12.0f}   "
           f"savings x{old / new:.1f}")
 

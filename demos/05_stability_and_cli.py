@@ -26,7 +26,7 @@ for name, ps in rules.items():
           f"error={rec.error:.6f}  norm bound={rec.fdq_norm_bound:.4f}")
 
 print("\nimportance-sampled rule: per-term contribution is flat by design")
-dens = ProductDensity(1, dl.optimal_density(2.0), "optimal")
+dens = ProductDensity(1, dl.optimal_density(2.0))
 pts = np.random.default_rng(1).random((6, 1))
 ps = weights_from_density(pts, dens)
 contrib = ps.weights * np.sqrt(1.0 - ps.points[:, 0])

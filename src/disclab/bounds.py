@@ -17,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 
+from .core import _check_counts, _check_p
 from .density import P_MAX
 from .errors import InvalidArgumentError
 
@@ -34,16 +35,14 @@ __all__ = [
 def gamma_prefactor(p: float) -> float:
     """sqrt(2)/pi^{1/(2p)} * Gamma((p+1)/2)^{1/p}; lgamma keeps it accurate
     for large p."""
-    if p < 1.0:
-        raise InvalidArgumentError(f"p must be >= 1, got {p}")
+    _check_p(p)
     log_gamma_root = math.lgamma((p + 1.0) / 2.0) / p
     return math.sqrt(2.0) * math.exp(log_gamma_root - math.log(math.pi) / (2.0 * p))
 
 
 def gamma_prefactor_asymptote(p: float) -> float:
     """Stirling limit sqrt(p/(2e)) of Gamma((p+1)/2)^{1/p}."""
-    if p < 1.0:
-        raise InvalidArgumentError(f"p must be >= 1, got {p}")
+    _check_p(p)
     return math.sqrt(p / (2.0 * math.e))
 
 
@@ -64,8 +63,7 @@ class BoundsRow:
 
 
 def bounds_row(p: float) -> BoundsRow:
-    if not (1.0 <= p <= P_MAX):
-        raise InvalidArgumentError(f"p must be in [1, {P_MAX:g}], got {p}")
+    _check_p(p, P_MAX)
     alpha_old = ((2.0 * p + 2.0) / (p + 2.0)) ** (1.0 / p)
     alpha_new = math.sqrt((p + 2.0) / (p + 1.0))
     return BoundsRow(
@@ -82,15 +80,14 @@ def bounds_row(p: float) -> BoundsRow:
     )
 
 
-def complexity_estimate(p: float, d: int, eps: float, C_p: float, alpha_p: float) -> float:
+def complexity_estimate(d: int, eps: float, C_p: float, alpha_p: float) -> float:
     """Point-count bound C_p^2 alpha_p^{2d} eps^{-2} implied by an average
     bound C_p alpha_p^d N^{-1/2}; the caller rounds up."""
+    _check_counts(d=(d, 1))
     if not (0.0 < eps < 1.0):
         raise InvalidArgumentError(f"eps must be in (0,1), got {eps}")
-    if C_p <= 0.0 or alpha_p < 1.0:
-        raise InvalidArgumentError("need C_p > 0 and alpha_p >= 1")
-    if d < 1:
-        raise InvalidArgumentError("d must be >= 1")
+    if not (0.0 < C_p < math.inf and 1.0 <= alpha_p < math.inf):
+        raise InvalidArgumentError("need finite C_p > 0 and alpha_p >= 1")
     return C_p ** 2 * alpha_p ** (2 * d) / eps ** 2
 
 
@@ -99,8 +96,7 @@ def figure_alpha_data(p_grid):
     The lower-bound curve c_p has no closed form and is omitted."""
     rows = []
     for p in p_grid:
-        if not (1.0 <= p <= 200.0):
-            raise InvalidArgumentError(f"p grid must lie in [1, 200], got {p}")
+        _check_p(p, 200.0)
         row = bounds_row(p)
         rows.append((row.p, row.alpha_old_sq, row.alpha_new_sq))
     return rows

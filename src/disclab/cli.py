@@ -8,7 +8,7 @@ JSON config), ``bounds`` (emit the alpha comparison table) and ``verify``
 Only ``discrepancy`` and ``experiment`` take ``--seed``; ``discrepancy``
 generates and prints one only when the method it runs is Monte Carlo.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or solver error.
+Exit codes: 0 success, 1 verification failure, 2 usage, input or solver error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import bounds as bounds_mod
 from . import density as density_mod
 from . import discrepancy as disc_mod
 from . import experiments as exp_mod
-from .core import WeightedPointSet, load_point_set
+from .core import ProductDensity, WeightedPointSet, _check_counts, load_point_set
 from .errors import DisclabError, SolverFailureError
 
 
@@ -34,6 +34,7 @@ from .errors import DisclabError, SolverFailureError
 # ---------------------------------------------------------------------------
 
 def cmd_density(args) -> int:
+    _check_counts(grid=(args.grid, 2))
     try:
         dens = density_mod.optimal_density(args.p)
         t = np.linspace(0.0, 1.0, args.grid)
@@ -59,7 +60,7 @@ def cmd_density(args) -> int:
 def cmd_discrepancy(args) -> int:
     ps = load_point_set(args.pointset)
     seed = args.seed
-    if seed is None and disc_mod.method_for(args.p, ps.d, args.method) == "monte_carlo":
+    if seed is None and disc_mod.method_for(args.p, ps.d, args.method, ps.n) == "monte_carlo":
         seed = secrets.randbits(63)
         print(f"seed: {seed} (generated; pass --seed {seed} to reproduce)")
     res = disc_mod.evaluate(ps, args.p, method=args.method, order=args.order,
@@ -109,12 +110,8 @@ def cmd_bounds(args) -> int:
 def _golden_checks():
     """Name -> (observed, expected, tolerance) for the verify suite."""
     p2 = density_mod.optimal_density(2.0)
-    from .core import ProductDensity
-
     checks = {
-        "p2-c-kernel": (
-            disc_mod.c_kernel(ProductDensity(1, p2, "optimal")).C_K, 4.0 / 9.0, 1e-10,
-        ),
+        "p2-c-kernel": (disc_mod.c_kernel(ProductDensity(1, p2)).C_K, 4.0 / 9.0, 1e-10),
         "p2-jmin": (density_mod.J_functional(p2, 2.0), 4.0 / 9.0, 1e-7),
         "p2-one-point-third": (
             disc_mod.l2_discrepancy_kernel(

@@ -2,7 +2,10 @@
 
 Weighted point sets in [0,1)^d with non-negative quadrature weights, product
 densities, the local discrepancy function, and the initial (N=0)
-worst-case error.
+worst-case error.  Also the three argument checks that every module
+validates through: ``_check_p`` (exponents), ``_check_counts`` (integer
+counts) and ``_unit_array`` (values in [0, 1]); each raises an
+InvalidArgumentError.
 
 Conventions
 -----------
@@ -16,6 +19,8 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +42,33 @@ __all__ = [
 ]
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+# ---------------------------------------------------------------------------
+# argument checks shared by every module
+# ---------------------------------------------------------------------------
+
+def _check_p(p, upper: float = sys.float_info.max) -> None:
+    """Raise UnsupportedExponentError unless p is a real number, not a bool,
+    with 1 <= p <= upper; the default upper admits every finite p.  A float
+    skips the numbers.Real test, which costs ~0.5 us on hot scalar paths."""
+    real = type(p) is float or (isinstance(p, numbers.Real) and not isinstance(p, bool))
+    if not (real and 1.0 <= p <= upper):
+        bound = ">= 1" if upper == sys.float_info.max else f"in [1, {upper:g}]"
+        raise UnsupportedExponentError(f"p must be a finite number {bound}, got {p!r}")
+
+
+def _check_counts(**counts) -> None:
+    """Raise unless each name=(value, low) pair has an integer value >= low."""
+    for name, (value, low) in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _unit_array(v, name):
+    """v as a 1-d float array, checked to lie in [0, 1] (NaN fails)."""
+    x = np.atleast_1d(np.asarray(v, dtype=float))
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise InvalidArgumentError(f"{name} must lie in [0, 1]")
+    return x
 
 
 @dataclass(frozen=True)
@@ -56,8 +84,9 @@ class WeightedPointSet:
     weights: np.ndarray  # shape (N,)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        # one copy of each array; the range tests fail NaN and +-inf too
+        pts = np.array(self.points, dtype=float, ndmin=2)
+        w = np.array(self.weights, dtype=float, ndmin=1)
         if pts.ndim != 2:
             raise InvalidArgumentError("points must be a 2-d array (N, d)")
         if pts.shape[0] < 1:
@@ -66,16 +95,14 @@ class WeightedPointSet:
             raise InvalidArgumentError(
                 f"weights shape {w.shape} does not match N={pts.shape[0]}"
             )
-        if not np.all(np.isfinite(pts)):
-            raise InvalidArgumentError("points must be finite")
-        if np.any(pts < 0.0) or np.any(pts >= 1.0):
+        if not np.all((pts >= 0.0) & (pts < 1.0)):
             raise InvalidArgumentError("all coordinates must lie in [0, 1)")
-        if not np.all(np.isfinite(w)):
-            raise InvalidArgumentError("weights must be finite")
-        if np.any(w < 0.0):
-            raise InvalidArgumentError("weights must be non-negative")
-        object.__setattr__(self, "points", _frozen(pts))
-        object.__setattr__(self, "weights", _frozen(w))
+        if not np.all((w >= 0.0) & (w < math.inf)):
+            raise InvalidArgumentError("weights must be finite and non-negative")
+        for arr in (pts, w):
+            arr.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
@@ -98,20 +125,12 @@ class WeightedPointSet:
 
 
 class ProductDensity:
-    """Tensor-product density rho_d = rho^{(x) d} on [0,1]^d.
+    """Tensor-product density rho_d = rho^{(x) d} on [0,1]^d."""
 
-    ``kind`` is one of ``"uniform"``, ``"optimal"`` (with the target exponent
-    recorded on the marginal) or ``"custom"``.
-    """
-
-    def __init__(self, d: int, marginal, kind: str = "custom"):
-        if d < 1:
-            raise InvalidArgumentError("dimension must be >= 1")
-        if kind not in ("uniform", "optimal", "custom"):
-            raise InvalidArgumentError(f"unknown density kind {kind!r}")
+    def __init__(self, d: int, marginal):
+        _check_counts(d=(d, 1))
         self.d = int(d)
         self.marginal = marginal
-        self.kind = kind
 
     def pdf(self, x):
         """Density value(s) at x; x has shape (d,) or (m, d)."""
@@ -127,7 +146,7 @@ class ProductDensity:
         return float(out[0]) if single else out
 
     def __repr__(self):
-        return f"ProductDensity(d={self.d}, kind={self.kind!r})"
+        return f"ProductDensity(d={self.d}, marginal={self.marginal!r})"
 
 
 def discrepancy_function(ps: WeightedPointSet, x) -> float:
@@ -137,21 +156,16 @@ def discrepancy_function(ps: WeightedPointSet, x) -> float:
         raise InvalidArgumentError(
             f"x has shape {x.shape}, expected ({ps.d},)"
         )
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise InvalidArgumentError("x must lie in [0,1]^d")
+    _unit_array(x, "x")
     inside = np.all(ps.points < x[None, :], axis=1)
     return float(ps.weights[inside].sum() - np.prod(x))
 
 
 def initial_error(p: float, d: int) -> float:
     """Worst-case error of the zero algorithm: (p+1)^(-d/p)."""
+    _check_p(p)
+    _check_counts(d=(d, 1))
     p = float(p)
-    if math.isinf(p):
-        raise UnsupportedExponentError("p = inf is unsupported (q = 1 branch)")
-    if p < 1.0:
-        raise InvalidArgumentError(f"p must be >= 1, got {p}")
-    if d < 1:
-        raise InvalidArgumentError("d must be >= 1")
     # exp/log form is stable for very large d; exact powering below that
     if d > 30:
         return math.exp(-(d / p) * math.log1p(p))
@@ -188,19 +202,24 @@ def save_point_set(ps: WeightedPointSet, path) -> None:
 
 
 def load_point_set(path) -> WeightedPointSet:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise InvalidArgumentError(f"bad point-set header in {path}")
-        d, n = int(header[0]), int(header[1])
-        pts = np.empty((n, d))
-        w = np.empty(n)
-        for k in range(n):
-            row = fh.readline().split()
-            if len(row) != d + 1:
-                raise InvalidArgumentError(f"bad row {k} in {path}")
-            pts[k] = [float(v) for v in row[:d]]
-            w[k] = float(row[d])
-        if any(line.strip() for line in fh):
-            raise InvalidArgumentError(f"{path} has rows beyond the N={n} of its header")
-    return WeightedPointSet(pts, w)
+    """Read a file written by ``save_point_set``; any malformed content raises
+    InvalidArgumentError naming the file."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise InvalidArgumentError("bad point-set header")
+            d, n = int(header[0]), int(header[1])
+            _check_counts(d=(d, 1), N=(n, 1))
+            rows = []
+            for k in range(n):
+                row = fh.readline().split()
+                if len(row) != d + 1:
+                    raise InvalidArgumentError(f"bad row {k}")
+                rows.append([float(v) for v in row])
+            if any(line.strip() for line in fh):
+                raise InvalidArgumentError(f"rows beyond the N={n} of its header")
+        table = np.array(rows)
+        return WeightedPointSet(table[:, :d], table[:, d])
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc

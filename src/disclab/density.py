@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .core import _check_counts, _check_p, _unit_array
 from .errors import (
     InvalidArgumentError,
     IntegrationFailureError,
@@ -87,12 +88,11 @@ def residual_eq_rho(p: float, t: float, rho_val: float) -> float:
     over the full closed interval [0, (p+1)/p]; beyond the upper end the base
     of the 2/p power turns negative and the expression is undefined.
     """
-    if not (1.0 <= p <= P_MAX):
-        raise InvalidArgumentError(f"p must be in [1, {P_MAX:g}], got {p}")
+    _check_p(p, P_MAX)
     if not (0.0 <= t <= 1.0):
         raise InvalidArgumentError(f"t must be in [0, 1], got {t}")
     rmax = rho_at_zero(p)
-    if rho_val < 0.0 or rho_val > rmax * (1.0 + 1e-12):
+    if not (0.0 <= rho_val <= rmax * (1.0 + 1e-12)):
         raise InvalidArgumentError(
             f"rho_val must be in [0, {rmax}], got {rho_val}"
         )
@@ -211,21 +211,12 @@ def curve_residual(p: float, t: float) -> float:
     wider than machine epsilon, so plugging the rounded rho into
     ``residual_eq_rho`` measures that quantization, not the solver.
     """
-    if not (1.0 <= p <= P_MAX):
-        raise InvalidArgumentError(f"p must be in [1, {P_MAX:g}], got {p}")
+    _check_p(p, P_MAX)
     if not (0.0 <= t <= 1.0):
         raise InvalidArgumentError(f"t must be in [0, 1], got {t}")
     e = 2.0 / p
     w = _w_of_scalar_t(p, float(t))
     return float(t) - math.exp(e * w) * (1.0 - e * math.expm1(w))
-
-
-def _unit_array(v, name):
-    """v as a 1-d float array, checked to lie in [0, 1] (NaN fails)."""
-    x = np.atleast_1d(np.asarray(v, dtype=float))
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise InvalidArgumentError(f"{name} must lie in [0, 1]")
-    return x
 
 
 def _rho_p1(t: np.ndarray) -> np.ndarray:
@@ -275,8 +266,7 @@ class Density1D:
     def general(cls, p: float) -> "Density1D":
         """The optimal density by the general curve solves, at any p in
         [1, P_MAX], including the closed-form exponents 1 and 2."""
-        if not (1.0 <= p <= P_MAX):
-            raise InvalidArgumentError(f"p must be in [1, {P_MAX:g}], got {p}")
+        _check_p(p, P_MAX)
         return cls("general", p=float(p))
 
     @classmethod
@@ -287,19 +277,16 @@ class Density1D:
         rho = np.asarray(rho, dtype=float)
         if t.ndim != 1 or t.shape != rho.shape or t.size < 2:
             raise InvalidArgumentError("need matching 1-d (t, rho) arrays")
-        if np.any(np.diff(t) <= 0.0) or t[0] != 0.0 or t[-1] != 1.0:
+        if not np.all(np.diff(t) > 0.0) or t[0] != 0.0 or t[-1] != 1.0:
             raise InvalidArgumentError("t grid must increase strictly from 0 to 1")
-        if np.any(rho < 0.0):
-            raise InvalidArgumentError("custom density must be non-negative")
         pdf_fn = lambda x: np.interp(x, t, rho)
         return cls("custom", pdf_fn=pdf_fn, table=(t, _cdf_table(t, rho)))
 
     @classmethod
     def from_callable(cls, pdf_fn, n_nodes: int = 8193) -> "Density1D":
+        _check_counts(n_nodes=(n_nodes, 2))
         t = np.linspace(0.0, 1.0, n_nodes)
         rho = np.asarray(pdf_fn(t), dtype=float)
-        if np.any(rho < 0.0):
-            raise InvalidArgumentError("custom density must be non-negative")
         return cls("custom", pdf_fn=pdf_fn, table=(t, _cdf_table(t, rho)))
 
     # -- evaluation ---------------------------------------------------------
@@ -379,6 +366,7 @@ class Density1D:
 
     def export_csv(self, path, n: int = 257) -> None:
         """Write an n-row (t, rho, cdf) table for plotting."""
+        _check_counts(n=(n, 2))
         t = np.linspace(0.0, 1.0, n)
         rho = np.atleast_1d(self.pdf(t))
         cdf = np.atleast_1d(self.cdf(t))
@@ -393,7 +381,10 @@ class Density1D:
 
 
 def _cdf_table(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of rho on the grid, renormalized so F(1) = 1."""
+    """Cumulative trapezoid of rho on the grid, renormalized so F(1) = 1;
+    rho must be finite and non-negative (NaN fails)."""
+    if rho.shape != t.shape or not np.all((rho >= 0.0) & (rho < math.inf)):
+        raise InvalidArgumentError("custom density must be finite and non-negative")
     cdf = np.concatenate(
         ([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(t)))
     )
@@ -409,8 +400,7 @@ def _cdf_table(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def optimal_density(p: float) -> Density1D:
     """The minimizer rho* of J for the given exponent p in [1, 1e6]."""
-    if not (1.0 <= p <= P_MAX):
-        raise InvalidArgumentError(f"p must be in [1, {P_MAX:g}], got {p}")
+    _check_p(p, P_MAX)
     if abs(p - 1.0) <= 1e-12:
         return Density1D.closed_form_p1()
     if abs(p - 2.0) <= 1e-12:
@@ -458,8 +448,7 @@ def J_functional(density: Density1D, p: float) -> float:
     e(1+e) S1^{p/2} int (1-s) s^{e(1+p/2)-1} ds, its power of s taken as an
     algebraic quadrature weight.  Other densities integrate S_of_x over x.
     """
-    if p < 1.0:
-        raise InvalidArgumentError(f"p must be >= 1, got {p}")
+    _check_p(p)
     if density.p is not None:
         q = density.p
         e, s1 = 2.0 / q, (q + 2.0) / (q + 1.0)
@@ -493,8 +482,7 @@ class VariationalSolution:
 def variational_solution(p: float) -> VariationalSolution:
     """Closed-form optimum: S1 = (p+2)/(p+1) and the implied mu, 2*lambda,
     J_min, with the two first-integral identities re-verified numerically."""
-    if not (1.0 <= p <= P_MAX):
-        raise InvalidArgumentError(f"p must be in [1, {P_MAX:g}], got {p}")
+    _check_p(p, P_MAX)
     s1 = (p + 2.0) / (p + 1.0)
     sq = math.sqrt(s1 - 1.0)  # = 1/sqrt(p+1)
     s1_p2 = s1 ** (p / 2.0)

@@ -32,7 +32,6 @@ they replaced, so batching changes no bit of a value.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, product
@@ -41,7 +40,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from .core import ProductDensity, WeightedPointSet
+from .core import ProductDensity, WeightedPointSet, _check_counts, _check_p
 from .errors import (
     IntegrationFailureError,
     InvalidArgumentError,
@@ -116,13 +115,6 @@ class KernelConstants:
     d: int
     C_K: float
     init_sq: float
-
-
-def _check_p(p) -> None:
-    """Raise InvalidArgumentError unless p is a finite real number >= 1."""
-    if (isinstance(p, bool) or not isinstance(p, numbers.Real)
-            or not math.isfinite(p) or p < 1.0):
-        raise InvalidArgumentError(f"p must be a finite number >= 1, got {p!r}")
 
 
 def _clamped_root(total: float, p: float, method: str) -> tuple[float, bool]:
@@ -219,12 +211,8 @@ def lp_discrepancy_even(ps: WeightedPointSet, p: float) -> DiscrepancyResult:
     first index at a time and one coordinate at a time, so memory is
     O(N^{r-1}); all terms go into one math.fsum.
     """
-    method_for(p, ps.d, "even")
+    method_for(p, ps.d, "even", ps.n)
     p = int(p)
-    if ps.n > _EVEN_P_GUARDS[p]:
-        raise SizeLimitError(
-            f"N={ps.n} exceeds the N<={_EVEN_P_GUARDS[p]} guard for p={p}"
-        )
     pts, a, d, n = ps.points, ps.weights, ps.d, ps.n
 
     def tuple_terms(coeff, r, k, first):
@@ -321,7 +309,8 @@ def lp_discrepancy_cells(
     integrand points, plus one per closed-form cell.
     """
     method_for(p, ps.d, "cells")
-    if not (2 <= order <= 32):
+    _check_counts(order=(order, 2))
+    if order > 32:
         raise InvalidArgumentError(f"order must be in [2, 32], got {order}")
     pts, a, d, n = ps.points, ps.weights, ps.d, ps.n
 
@@ -409,8 +398,7 @@ def lp_discrepancy_mc(
 ) -> DiscrepancyResult:
     """Plain Monte Carlo estimate of L_p; deterministic for a fixed seed."""
     _check_p(p)
-    if samples < 1000:
-        raise InvalidArgumentError(f"need at least 1e3 samples, got {samples}")
+    _check_counts(samples=(samples, 1000), seed=(seed, 0))
     pts, a, d = ps.points, ps.weights, ps.d
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     s = s2 = 0.0
@@ -465,22 +453,25 @@ def c_kernel(rho: ProductDensity) -> KernelConstants:
     return KernelConstants(d=rho.d, C_K=c_k, init_sq=init_sq)
 
 
-def method_for(p: float, d: int, method: str = "auto") -> str:
+def method_for(p: float, d: int, method: str = "auto", n: int | None = None) -> str:
     """Method tag of the evaluator ``evaluate`` runs for (p, d) under
-    ``method``; raises if p is invalid or the method cannot compute (p, d)."""
+    ``method``; raises if p is invalid, the method cannot compute (p, d) or,
+    given the rule size n, the even-p expansion would exceed its N guard."""
     _check_p(p)
+    if not isinstance(method, str) or method not in ("auto", *METHODS):
+        raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "auto":
         if p == 2.0:
             return "kernel_p2"
         if d == 1:
             return "exact_d1"
         return "cell_quadrature" if d <= 4 else "monte_carlo"
-    if method not in METHODS:
-        raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "kernel" and p != 2.0:
         raise InvalidArgumentError(f"the kernel method computes p = 2 only, got p={p}")
     if method == "even" and p not in _EVEN_P_GUARDS:
         raise InvalidArgumentError(f"even-p expansion supports p in {{2, 4}}, got {p}")
+    if method == "even" and n is not None and n > _EVEN_P_GUARDS[p]:
+        raise SizeLimitError(f"N={n} exceeds the N<={_EVEN_P_GUARDS[p]} guard for p={p:g}")
     if method == "cells" and d > 4:
         raise SizeLimitError(f"cell quadrature supports d <= 4, got d={d}")
     return METHODS[method]
@@ -490,7 +481,7 @@ def evaluate(ps: WeightedPointSet, p: float, method: str = "auto", *, order: int
              samples: int | None = None, seed: int | None = None) -> DiscrepancyResult:
     """L_p by the ``method_for`` method.  Cells use the Gauss ``order``, Monte
     Carlo needs ``samples`` and ``seed``, and other methods ignore them."""
-    tag = method_for(p, ps.d, method)
+    tag = method_for(p, ps.d, method, ps.n)
     if tag == "kernel_p2":
         return l2_discrepancy_kernel(ps)
     if tag == "exact_d1":
@@ -499,6 +490,4 @@ def evaluate(ps: WeightedPointSet, p: float, method: str = "auto", *, order: int
         return lp_discrepancy_even(ps, p)
     if tag == "cell_quadrature":
         return lp_discrepancy_cells(ps, p, order)
-    if samples is None or seed is None:
-        raise InvalidArgumentError("Monte Carlo needs samples= and seed=")
     return lp_discrepancy_mc(ps, p, samples, seed)

@@ -3,6 +3,10 @@
 All library-specific failures derive from :class:`DisclabError` so callers can
 catch one base class.  Subclasses double as standard Python exception types
 (``ValueError`` / ``RuntimeError``) where that is the natural fit.
+Every invalid argument raises an :class:`InvalidArgumentError`; an exponent
+outside the supported range raises its subclass
+:class:`UnsupportedExponentError`, so one ``except InvalidArgumentError``
+catches both.
 """
 
 
@@ -14,7 +18,7 @@ class InvalidArgumentError(DisclabError, ValueError):
     """An argument violates a documented precondition (domain, shape, ...)."""
 
 
-class UnsupportedExponentError(DisclabError, ValueError):
+class UnsupportedExponentError(InvalidArgumentError):
     """The requested exponent is outside the supported range (e.g. p = inf)."""
 
 

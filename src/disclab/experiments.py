@@ -24,17 +24,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ProductDensity, WeightedPointSet, initial_error
+from .core import ProductDensity, WeightedPointSet, _check_counts, _check_p, initial_error
 from .density import Density1D, optimal_density
 from .discrepancy import (
     BLOCK_ELEMS,
     METHODS,
-    _check_p,
     _kernel_block,
     c_kernel,
     evaluate,
@@ -73,7 +71,7 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_counts(d=(self.d, 1), N=(self.N, 1),
                       replications=(self.replications, 2), seed=(self.seed, 0))
-        method_for(self.p, self.d, _method_name(self.evaluator))
+        method_for(self.p, self.d, _method_name(self.evaluator), self.N)
         _check_density(self.density_kind, self.density_file)
         if self.c_rescale not in ("none", "optimal_c"):
             raise InvalidArgumentError(f"unknown c_rescale {self.c_rescale!r}")
@@ -82,6 +80,8 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise InvalidArgumentError(f"{path} does not hold a JSON object")
         allowed = set(cls.__dataclass_fields__)
         unknown = set(raw) - allowed
         if unknown:
@@ -116,17 +116,10 @@ class ExperimentReport:
             writer.writerow([data[k] for k in sorted(data)])
 
 
-def _check_counts(**counts) -> None:
-    """Raise unless each name=(value, low) pair has an integer value >= low."""
-    for name, (value, low) in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 def _method_name(evaluator: str) -> str:
     """The ``evaluate`` method name of an ExperimentConfig evaluator."""
     names = {tag: name for name, tag in METHODS.items()}
-    if evaluator != "auto" and evaluator not in names:
+    if not isinstance(evaluator, str) or evaluator not in ("auto", *names):
         raise InvalidArgumentError(f"unknown evaluator {evaluator!r}")
     return names.get(evaluator, "auto")
 
@@ -219,7 +212,7 @@ def _lp_pow_values(p, n, d, marginal, evaluator, replications, stream, c_factor=
     ``method_for`` picks for the config ``evaluator``.  Returns
     (values, resample_count)."""
     method = _method_name(evaluator)
-    tag = method_for(p, d, method)
+    tag = method_for(p, d, method, n)
     samples = max(8192, 4 * n)
     values = np.empty(replications)
     resamples = 0
@@ -244,8 +237,7 @@ def run_average_discrepancy(cfg: ExperimentConfig) -> ExperimentReport:
     marginal = _marginal_for(cfg.density_kind, cfg.p, cfg.density_file)
     c_factor = 1.0
     if cfg.c_rescale == "optimal_c":
-        kind = {"uniform": "uniform", "optimal": "optimal", "custom-file": "custom"}
-        kc = c_kernel(ProductDensity(cfg.d, marginal, kind[cfg.density_kind]))
+        kc = c_kernel(ProductDensity(cfg.d, marginal))
         c_factor = optimal_c_rescale(cfg.N, cfg.d, kc.C_K)
     lp_vals, resamples = _lp_pow_values(
         cfg.p, cfg.N, cfg.d, marginal, cfg.evaluator, cfg.replications,
@@ -270,8 +262,7 @@ def run_average_discrepancy(cfg: ExperimentConfig) -> ExperimentReport:
 def exact_nav2(N: int, d: int, density_kind: str) -> float:
     """Closed-form n-av_2: 3^{d/2} sqrt((C^d - 3^-d)/N) with C = 1/2 for
     uniform sampling and C = 4/9 for the optimal density."""
-    if N < 1 or d < 1:
-        raise InvalidArgumentError("need N >= 1 and d >= 1")
+    _check_counts(N=(N, 1), d=(d, 1))
     if density_kind == "uniform":
         c1 = 0.5
     elif density_kind == "optimal":
@@ -283,8 +274,9 @@ def exact_nav2(N: int, d: int, density_kind: str) -> float:
 
 def optimal_c_rescale(N: int, d: int, C_K: float) -> float:
     """Weight-rescaling constant c* = N / (N - 1 + 3^d C(K_d, rho_d))."""
-    if C_K < 3.0 ** (-d) * (1.0 - 1e-12):
-        raise InvalidArgumentError("C_K below the 3^-d lower bound")
+    _check_counts(N=(N, 1), d=(d, 1))
+    if not (3.0 ** (-d) * (1.0 - 1e-12) <= C_K < math.inf):
+        raise InvalidArgumentError(f"C_K must be finite and at least 3^-d, got {C_K}")
     return N / (N - 1.0 + 3.0 ** d * C_K)
 
 
@@ -308,7 +300,7 @@ def c_rescale_experiment(
     """
     _check_counts(N=(N, 1), d=(d, 1), replications=(replications, 2), seed=(seed, 0))
     marginal = _marginal_for(density_kind, 2.0)  # custom-file needs a file: rejected
-    kc = c_kernel(ProductDensity(d, marginal, density_kind))
+    kc = c_kernel(ProductDensity(d, marginal))
     c_star = optimal_c_rescale(N, d, kc.C_K)
     t1 = np.empty(replications)
     t2 = np.empty(replications)
@@ -352,8 +344,8 @@ def asymptotic_scaling_probe(
     _check_p(p)
     _check_counts(d=(d, 1), replications=(replications, 2), seed=(seed, 0),
                   **{f"N_grid[{i}]": (n, 1) for i, n in enumerate(N_grid)})
-    if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
-        raise InvalidArgumentError("N_grid must be strictly increasing")
+    if not N_grid or any(b <= a for a, b in zip(N_grid, N_grid[1:])):
+        raise InvalidArgumentError("N_grid must be non-empty and strictly increasing")
     if N_grid[-1] > 2 ** 16:
         raise InvalidArgumentError("max N in the grid is 2^16")
     marginal = _marginal_for(density_kind, p)

@@ -52,7 +52,7 @@ def report(capsys, num, label, ok, elapsed, limit):
 def test_criterion_1_golden_constants(capsys):
     t0 = time.perf_counter()
     checks = []
-    kc = c_kernel(ProductDensity(1, dl.optimal_density(2.0), "optimal"))
+    kc = c_kernel(ProductDensity(1, dl.optimal_density(2.0)))
     checks.append(abs(kc.C_K - 4.0 / 9.0) <= 1e-12)
     for p in (1.0, 2.0, 3.0, 10.0):
         checks.append(

@@ -100,23 +100,23 @@ class TestGammaPrefactor:
 
 class TestComplexityEstimate:
     def test_eps_scaling(self):
-        assert complexity_estimate(2.0, 1, 0.1, 1.0, 1.0) == pytest.approx(100.0)
+        assert complexity_estimate(1, 0.1, 1.0, 1.0) == pytest.approx(100.0)
 
     def test_old_alpha_growth(self):
-        est = complexity_estimate(2.0, 10, 1.0 - 1e-15, 1.0, math.sqrt(1.5))
+        est = complexity_estimate(10, 1.0 - 1e-15, 1.0, math.sqrt(1.5))
         assert est == pytest.approx(1.5 ** 10, rel=1e-9)
 
     def test_new_alpha_growth(self):
-        est = complexity_estimate(2.0, 10, 1.0 - 1e-15, 1.0, math.sqrt(4.0 / 3.0))
+        est = complexity_estimate(10, 1.0 - 1e-15, 1.0, math.sqrt(4.0 / 3.0))
         assert est == pytest.approx((4.0 / 3.0) ** 10, rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(InvalidArgumentError):
-            complexity_estimate(2.0, 1, 1.5, 1.0, 1.0)
+            complexity_estimate(1, 1.5, 1.0, 1.0)
         with pytest.raises(InvalidArgumentError):
-            complexity_estimate(2.0, 1, 0.1, -1.0, 1.0)
+            complexity_estimate(1, 0.1, -1.0, 1.0)
         with pytest.raises(InvalidArgumentError):
-            complexity_estimate(2.0, 0, 0.1, 1.0, 1.0)
+            complexity_estimate(0, 0.1, 1.0, 1.0)
 
 
 class TestFigureData:

@@ -222,3 +222,30 @@ class TestVerifyCommand:
     def test_no_match_exit_2(self, capsys):
         code, _, err = run(["verify", "--only", "zzz"], capsys)
         assert code == 2
+
+
+class TestBadInput:
+    """Malformed files and arguments exit 2 with one error line; main()
+    returning at all means no exception, and so no traceback, escaped."""
+
+    @pytest.mark.parametrize("text", ["1 x\n0.5 1\n", "1 -2\n", "1 1\nabc 1\n"])
+    def test_malformed_pointset_exit_2(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(["discrepancy", str(path), "--p", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(path) in err
+
+    @pytest.mark.parametrize("grid", ["-1", "0", "1"])
+    def test_density_grid_below_2_exit_2(self, grid, capsys):
+        code, out, err = run(["density", "--p", "2", "--grid", grid], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "grid" in err
+
+    def test_negative_mc_seed_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ok.txt"
+        save_point_set(WeightedPointSet([[0.5]], [1.0]), path)
+        code, out, err = run(["discrepancy", str(path), "--p", "1.5", "--method", "mc",
+                              "--seed", "-3"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "seed" in err

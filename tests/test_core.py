@@ -116,42 +116,38 @@ class TestInitialError:
 
 class TestProductDensity:
     def test_uniform_product(self):
-        dens = ProductDensity(3, Density1D.uniform(), "uniform")
+        dens = ProductDensity(3, Density1D.uniform())
         assert dens.pdf([0.1, 0.5, 0.9]) == pytest.approx(1.0)
         vals = dens.pdf(np.random.default_rng(0).random((5, 3)))
         assert vals.shape == (5,)
         assert np.allclose(vals, 1.0)
 
     def test_optimal_p2_product(self):
-        dens = ProductDensity(2, optimal_density(2.0), "optimal")
+        dens = ProductDensity(2, optimal_density(2.0))
         expected = 1.5 * math.sqrt(0.75) * 1.5 * math.sqrt(0.5)
         assert dens.pdf([0.25, 0.5]) == pytest.approx(expected, rel=1e-14)
 
     def test_dimension_mismatch(self):
-        dens = ProductDensity(2, Density1D.uniform(), "uniform")
+        dens = ProductDensity(2, Density1D.uniform())
         with pytest.raises(InvalidArgumentError):
             dens.pdf([0.5])
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidArgumentError):
-            ProductDensity(1, Density1D.uniform(), "weird")
 
 
 class TestWeightsFromDensity:
     def test_uniform_reproduces_qmc_bit_exactly(self):
         pts = np.random.default_rng(1).random((8, 2))
-        dens = ProductDensity(2, Density1D.uniform(), "uniform")
+        dens = ProductDensity(2, Density1D.uniform())
         ps = weights_from_density(pts, dens)
         assert np.all(ps.weights == 1.0 / 8.0)
 
     def test_optimal_p2_at_zero(self):
-        dens = ProductDensity(1, optimal_density(2.0), "optimal")
+        dens = ProductDensity(1, optimal_density(2.0))
         ps = weights_from_density([[0.0], [0.5]], dens)
         assert ps.weights[0] == pytest.approx(2.0 / (3.0 * 2), rel=1e-14)
 
     def test_optimal_p1_at_zero(self):
         # rho*(0) = 2 for p = 1, so a = 1/(2N)
-        dens = ProductDensity(1, optimal_density(1.0), "optimal")
+        dens = ProductDensity(1, optimal_density(1.0))
         ps = weights_from_density([[0.0], [0.25], [0.5], [0.75]], dens)
         assert ps.weights[0] == pytest.approx(1.0 / 8.0, rel=1e-12)
 
@@ -159,7 +155,7 @@ class TestWeightsFromDensity:
         # rho*(t) -> 0 as t -> 1; the closed p=2 form hits exactly 0 only at
         # t=1 which is outside [0,1), so force a zero through a custom table
         tab = Density1D.from_table([0.0, 0.5, 1.0], [2.0, 0.0, 2.0])
-        dens = ProductDensity(1, tab, "custom")
+        dens = ProductDensity(1, tab)
         with pytest.raises(DegenerateWeightError):
             weights_from_density([[0.5]], dens)
 

@@ -316,27 +316,27 @@ class TestMonteCarlo:
 
 class TestCKernel:
     def test_uniform(self):
-        kc = c_kernel(ProductDensity(1, Density1D.uniform(), "uniform"))
+        kc = c_kernel(ProductDensity(1, Density1D.uniform()))
         assert kc.C_K == pytest.approx(0.5, abs=1e-12)
         assert kc.init_sq == pytest.approx(1.0 / 3.0)
 
     def test_optimal_p2(self):
-        kc = c_kernel(ProductDensity(1, optimal_density(2.0), "optimal"))
+        kc = c_kernel(ProductDensity(1, optimal_density(2.0)))
         assert kc.C_K == pytest.approx(4.0 / 9.0, abs=1e-10)
 
     def test_optimal_p2_tensor_power(self):
-        kc = c_kernel(ProductDensity(3, optimal_density(2.0), "optimal"))
+        kc = c_kernel(ProductDensity(3, optimal_density(2.0)))
         assert kc.C_K == pytest.approx((4.0 / 9.0) ** 3, rel=1e-9)
 
     def test_optimal_p1_value(self):
         # 50-digit quadrature of (1-t)/rho_1*(t) gives exactly 9/20
-        kc = c_kernel(ProductDensity(1, optimal_density(1.0), "optimal"))
+        kc = c_kernel(ProductDensity(1, optimal_density(1.0)))
         assert kc.C_K == pytest.approx(0.45, abs=1e-8)
 
     def test_lower_bound_invariant(self):
         for p in (1.0, 2.0, 3.0):
             for d in (1, 2):
-                kc = c_kernel(ProductDensity(d, optimal_density(p), "optimal"))
+                kc = c_kernel(ProductDensity(d, optimal_density(p)))
                 assert kc.C_K >= 3.0 ** (-d)
 
 

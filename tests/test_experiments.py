@@ -222,7 +222,7 @@ class TestChunkedHarness:
     def test_optimal_c_config_scales_weights(self):
         n, d, reps, seed = 16, 2, 40, 77
         marginal = _marginal_for("optimal", 2.0)
-        kc = c_kernel(ProductDensity(d, marginal, "optimal"))
+        kc = c_kernel(ProductDensity(d, marginal))
         c_star = optimal_c_rescale(n, d, kc.C_K)
         ref = np.empty(reps)
         for r in range(reps):
@@ -455,7 +455,7 @@ class TestStability:
         # per-term contribution of a sampled rule equals 2/(3N)
         n = 8
         pts = np.random.default_rng(2).random((n, 1))
-        dens = ProductDensity(1, optimal_density(2.0), "optimal")
+        dens = ProductDensity(1, optimal_density(2.0))
         ps = weights_from_density(pts, dens)
         contrib = ps.weights * np.sqrt(1.0 - ps.points[:, 0])
         assert np.allclose(contrib, 2.0 / (3.0 * n), rtol=1e-12)
