@@ -226,6 +226,9 @@ def _rho_p1(t: np.ndarray) -> np.ndarray:
     return np.clip(rho, 0.0, None)
 
 
+_FORMS = ("uniform", "closed_form_p1", "closed_form_p2", "general", "custom")
+
+
 class Density1D:
     """A probability density on [0,1] with CDF and inverse-CDF access.
 
@@ -238,6 +241,8 @@ class Density1D:
     """
 
     def __init__(self, form, p=None, pdf_fn=None, table=None):
+        if not isinstance(form, str) or form not in _FORMS:
+            raise InvalidArgumentError(f"unknown density form {form!r}")
         self.form = form
         self.p = p
         self._pdf_fn = pdf_fn

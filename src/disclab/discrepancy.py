@@ -22,11 +22,13 @@ Five mutually cross-checking methods:
 ``evaluate`` runs the one ``method_for`` picks.  Its one ``auto`` rule: the
 kernel at p = 2, the exact method at d = 1, cells at d <= 4, else Monte Carlo.
 
-Kernel double sums stream row blocks into one math.fsum, so results are
-reproducible, exactly rounded and need memory linear in N.  The even-p terms
-and the cell values likewise go into one math.fsum each, and every batched
-product and reduction runs in the order of the one-term-at-a-time loops
-they replaced, so batching changes no bit of a value.
+The kernel streams row blocks of its symmetric half, so it needs memory
+linear in N.  Its double sum, the even-p terms and the cell values each go
+into one exact, correctly rounded sum (``_ExactSum``, exponent binning in
+numpy, equal to math.fsum of the same terms bit for bit), so results do not
+depend on block sizes or term order.  Every batched product and reduction
+runs in the order of the one-term-at-a-time loops they replaced, so
+batching changes no bit of a value.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -60,12 +62,20 @@ __all__ = [
 ]
 
 NEG_SQ_TOL = 1e-12  # squared errors in [-NEG_SQ_TOL, 0) are clamped to 0
-# work per batch: B*N*d for a block of B rows in l2_discrepancy_kernel,
-# R*N*N*d for a chunk of R replications in the experiment harness, and the
-# cells per block and integrand points per Gauss chunk in
-# lp_discrepancy_cells; each array of the batch then holds at most 2^14
-# float64 (128 KB), or 2^14 rows of d
+# work per batch: B*N for a block of B rows in l2_discrepancy_kernel (each
+# of its arrays is at most B x N), R*N*N*d for a chunk of R replications in
+# the experiment harness (B*N*d for a row block of one large replication),
+# the cells per block and integrand points per Gauss chunk in
+# lp_discrepancy_cells, and the terms _ExactSum bins at a time from small
+# adds; each array of the batch then holds at most 2^14 float64 (128 KB),
+# or 2^14 rows of d
 BLOCK_ELEMS = 2 ** 14
+# exact summation (_ExactSum): frexp gives exponents _EXP_MIN..1024 for
+# finite float64, one bin each; a bin sums at most _FLUSH_TERMS parts below
+# 2^27 grid steps each, so it stays below 2^53 steps
+_EXP_MIN = -1073
+_SUM_BINS = 1024 - _EXP_MIN + 1
+_FLUSH_TERMS = 2 ** 26
 # cell quadrature guards on memory and time (see lp_discrepancy_cells)
 MAX_CELLS = 10_000_000
 MAX_CELL_EVALS = 4_000_000_000
@@ -117,6 +127,93 @@ class KernelConstants:
     init_sq: float
 
 
+class _ExactSum:
+    """Correctly rounded sum of float64 terms: ``value()`` equals math.fsum of
+    every term added, bit for bit, with the work in numpy.
+
+    Exponent binning (Demmel & Hida, SIAM J. Sci. Comput. 2003): a finite
+    term is m * 2^e with frexp's m in [0.5, 1), and m * 2^26 splits exactly
+    into an integer part below 2^26 and a fraction on the 2^-27 grid.  One
+    np.bincount per part sums them by exponent.  Up to _FLUSH_TERMS terms,
+    every bin sum is an exact multiple of its grid below 2^53 units; before
+    more arrive, the bins are flushed into one Python int counting units of
+    2^(_EXP_MIN - 53).  ``value()`` divides that int by its unit, which
+    Python rounds correctly.  Small ``add`` calls are binned together, up
+    to BLOCK_ELEMS terms at a time, so many of them cost about what one
+    large one does.
+    Non-finite terms give what math.fsum gives: nan, an infinity or its
+    ValueError.  A sum beyond the float range raises OverflowError, as in
+    math.fsum, but partial sums cannot overflow, where math.fsum's can.
+    """
+
+    def __init__(self):
+        self._units = 0
+        self._whole = np.zeros(_SUM_BINS)
+        self._frac = np.zeros(_SUM_BINS)
+        self._span = (_SUM_BINS, 0)  # the bins [lo, hi) that may be non-zero
+        self._binned = 0
+        self._pending = []
+        self._n_pending = 0
+        self._special = set()
+
+    def add(self, terms) -> None:
+        # terms may be held until binned: callers must not change them after
+        x = np.asarray(terms, dtype=float).ravel()
+        if self._n_pending + x.size > BLOCK_ELEMS:
+            self._bin()
+        self._pending.append(x)
+        self._n_pending += x.size
+
+    def _bin(self) -> None:
+        pending = self._pending
+        if not pending:
+            return
+        x = pending[0] if len(pending) == 1 else np.concatenate(pending)
+        self._pending, self._n_pending = [], 0
+        finite = np.isfinite(x)
+        if not finite.all():
+            self._special.update(x[~finite].tolist())
+            x = x[finite]
+        for s in range(0, x.size, _FLUSH_TERMS):
+            chunk = x[s:s + _FLUSH_TERMS]
+            if self._binned + chunk.size > _FLUSH_TERMS:
+                self._flush()
+            m, e = np.frexp(chunk)
+            m *= 2.0 ** 26
+            whole = np.trunc(m)
+            m -= whole
+            e_min = int(e.min())
+            e = e.astype(np.intp)  # bincount's index type
+            e -= e_min
+            whole_sums = np.bincount(e, whole)
+            lo = e_min - _EXP_MIN
+            hi = lo + len(whole_sums)
+            self._whole[lo:hi] += whole_sums
+            self._frac[lo:hi] += np.bincount(e, m)
+            self._span = (min(self._span[0], lo), max(self._span[1], hi))
+            self._binned += chunk.size
+
+    def _flush(self) -> None:
+        # bin i holds (whole + frac) * 2^27 units shifted left by i; Horner's
+        # rule from the top bin keeps the shifts small
+        lo, hi = self._span
+        whole = self._whole[lo:hi][::-1].tolist()
+        frac = (self._frac[lo:hi][::-1] * 2.0 ** 27).tolist()
+        units = 0
+        for w, f in zip(whole, frac):
+            units = (units << 1) + (int(w) << 27) + int(f)
+        self._units += units << lo
+        self._whole[lo:hi] = self._frac[lo:hi] = 0.0
+        self._span, self._binned = (_SUM_BINS, 0), 0
+
+    def value(self) -> float:
+        self._bin()
+        if self._special:
+            return math.fsum(self._special)
+        self._flush()
+        return self._units / (1 << (53 - _EXP_MIN))
+
+
 def _clamped_root(total: float, p: float, method: str) -> tuple[float, bool]:
     if total < -NEG_SQ_TOL:
         raise NumericalInconsistencyError(
@@ -151,23 +248,29 @@ def _kernel_block(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def l2_discrepancy_kernel(ps: WeightedPointSet) -> DiscrepancyResult:
     """Exact L_2 discrepancy from the kernel formula; O(N^2 d) time.
 
-    The double sum streams blocks of B rows, B*N*d <= BLOCK_ELEMS (B >= 1),
-    into one math.fsum, so memory is O(N d) beyond a block and the value is
-    exactly rounded, whatever the block size.
+    The double sum streams blocks of B = BLOCK_ELEMS // N rows, clipped to
+    [1, N], each over the columns from its first row on, so every array of
+    a block is at most B x N and memory is O(N d) beyond a block.  The
+    terms a_k a_l K(t_k, t_l) are bitwise symmetric in (k, l), so the
+    diagonal goes into one exact sum (``_ExactSum``) once and the strict
+    upper triangle twice; t2 is then math.fsum of all N^2 terms, bit for
+    bit, whatever the block size.
     """
     pts, a, d, n = ps.points, ps.weights, ps.d, ps.n
-    rows = max(1, BLOCK_ELEMS // (n * d))
-
-    h_blocks = []
-
-    def block_terms(lo):
-        kmat, h = _kernel_block(pts[lo:lo + rows], pts)
-        h_blocks.append(h)
-        return (a[lo:lo + rows, None] * a * kmat).ravel().tolist()
-
-    t2 = math.fsum(chain.from_iterable(map(block_terms, range(0, n, rows))))
-    t1 = math.fsum(a * np.concatenate(h_blocks))
-    e2 = math.fsum([3.0 ** (-d), -2.0 * t1, t2])
+    rows = min(n, max(1, BLOCK_ELEMS // n))
+    # factors for the leading B x B square of a block, whose entries below
+    # the diagonal earlier blocks already counted
+    square = np.triu(np.full((rows, rows), 2.0), 1) + np.eye(rows)
+    t1, t2 = _ExactSum(), _ExactSum()
+    for lo in range(0, n, rows):
+        b = min(rows, n - lo)
+        terms, h = _kernel_block(pts[lo:lo + b], pts[lo:])
+        t1.add(a[lo:lo + b] * h)
+        terms *= np.multiply.outer(a[lo:lo + b], a[lo:])
+        terms[:, :b] *= square[:b, :b]
+        terms[:, b:] *= 2.0
+        t2.add(terms)
+    e2 = math.fsum([3.0 ** (-d), -2.0 * t1.value(), t2.value()])
     value, clamped = _clamped_root(e2, 2.0, "kernel_p2")
     return DiscrepancyResult(
         value=value, p=2.0, method="kernel_p2", abs_error_estimate=0.0,
@@ -209,7 +312,7 @@ def lp_discrepancy_even(ps: WeightedPointSet, p: float) -> DiscrepancyResult:
     at a combinatorial cost of O(N^p).  p may be given as 2.0 or 4.0.  The
     N^r tuples of each power r are broadcast over r - 1 index axes, one
     first index at a time and one coordinate at a time, so memory is
-    O(N^{r-1}); all terms go into one math.fsum.
+    O(N^{r-1}); all terms go into one exact sum (``_ExactSum``).
     """
     method_for(p, ps.d, "even", ps.n)
     p = int(p)
@@ -227,20 +330,18 @@ def lp_discrepancy_even(ps: WeightedPointSet, p: float) -> DiscrepancyResult:
                 mx = np.maximum.outer(mx, pts[:, j])
             f_j = 1.0 - mx ** k
             prod = f_j if j == 0 else prod * f_j
-        return (coeff * aprod * prod).ravel().tolist()
+        return coeff * aprod * prod
 
-    def term_blocks():
-        for m in range(p + 1):
-            coeff = math.comb(p, m) * (-1.0) ** m / (m + 1) ** d
-            r = p - m
-            if r == 0:
-                yield [coeff]
-                continue
-            for first in range(n) if r > 1 else [slice(None)]:
-                yield tuple_terms(coeff, r, m + 1, first)
-
-    total = math.fsum(chain.from_iterable(term_blocks()))
-    value, clamped = _clamped_root(total, float(p), "even_p_exact")
+    total = _ExactSum()
+    for m in range(p + 1):
+        coeff = math.comb(p, m) * (-1.0) ** m / (m + 1) ** d
+        r = p - m
+        if r == 0:
+            total.add(coeff)
+            continue
+        for first in range(n) if r > 1 else [slice(None)]:
+            total.add(tuple_terms(coeff, r, m + 1, first))
+    value, clamped = _clamped_root(total.value(), float(p), "even_p_exact")
     return DiscrepancyResult(
         value=value, p=float(p), method="even_p_exact", abs_error_estimate=0.0,
         evaluations=sum(n ** (p - m) for m in range(p + 1)), d=d, n=n,
@@ -364,24 +465,24 @@ def lp_discrepancy_cells(
 
     x_ref, w_ref = leggauss(order)
     halves = np.array(list(product((False, True), repeat=d)))
-    deltas = []
-
-    def block_terms(start):
+    cell_sum, deltas = _ExactSum(), []
+    for start in starts:
         closed, lo, hi, c, refine = block(start)
         base = _gauss_sums(lo, hi, c, p, x_ref, w_ref)
-        # refined cells: the 2^d dyadic halves of each, summed exactly
+        # refined cells: the 2^d dyadic halves of each, summed per cell by
+        # math.fsum
         lo, hi, c = lo[refine], hi[refine], c[refine]
         mid = 0.5 * (lo + hi)
         sub_lo = np.where(halves, mid[:, None], lo[:, None]).reshape(-1, d)
         sub_hi = np.where(halves, hi[:, None], mid[:, None]).reshape(-1, d)
         parts = _gauss_sums(sub_lo, sub_hi, np.repeat(c, len(halves)), p, x_ref, w_ref)
         parts = parts.reshape(len(c), len(halves)).tolist()
-        refined = [math.fsum(row) for row in parts]
-        deltas.append(np.abs(np.array(refined) - base[refine]))
-        return chain(closed.tolist(), base[~refine].tolist(), refined)
+        refined = np.array([math.fsum(row) for row in parts])
+        deltas.append(np.abs(refined - base[refine]))
+        for terms in (closed, base[~refine], refined):
+            cell_sum.add(terms)
 
-    total = math.fsum(chain.from_iterable(map(block_terms, starts)))
-    err_p = math.fsum(np.concatenate(deltas))
+    total, err_p = cell_sum.value(), math.fsum(np.concatenate(deltas))
     value, clamped = _clamped_root(total, p, "cell_quadrature")
     if total > 0.0:
         err_val = err_p / (p * total ** (1.0 - 1.0 / p))

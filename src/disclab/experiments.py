@@ -24,12 +24,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import ProductDensity, WeightedPointSet, _check_counts, _check_p, initial_error
-from .density import Density1D, optimal_density
+from .density import P_MAX, Density1D, optimal_density
 from .discrepancy import (
     BLOCK_ELEMS,
     METHODS,
@@ -73,6 +74,8 @@ class ExperimentConfig:
                       replications=(self.replications, 2), seed=(self.seed, 0))
         method_for(self.p, self.d, _method_name(self.evaluator), self.N)
         _check_density(self.density_kind, self.density_file)
+        if self.density_kind == "optimal":
+            _check_p(self.p, P_MAX)  # the range of optimal_density
         if self.c_rescale not in ("none", "optimal_c"):
             raise InvalidArgumentError(f"unknown c_rescale {self.c_rescale!r}")
 
@@ -132,6 +135,8 @@ def _rng(seed: int, *stream) -> np.random.Generator:
 def _check_density(kind: str, density_file=None) -> None:
     if kind not in ("uniform", "optimal", "custom-file"):
         raise InvalidArgumentError(f"unknown density_kind {kind!r}")
+    if density_file is not None and not isinstance(density_file, (str, os.PathLike)):
+        raise InvalidArgumentError(f"density_file must be a path, got {density_file!r}")
     if kind == "custom-file" and not density_file:
         raise InvalidArgumentError("custom-file density needs density_file")
 
@@ -193,8 +198,11 @@ def _draw(marginal, u):
 def _kernel_sums(t, a):
     """Per replication of a chunk: t1 = sum_k a_k h_d(t_k) and
     t2 = sum_{k,l} a_k a_l K_d(t_k, t_l).  A chunk that holds one
-    replication with N*N*d > BLOCK_ELEMS streams blocks of B rows,
-    B*N*d <= BLOCK_ELEMS, as ``l2_discrepancy_kernel`` does."""
+    replication with N*N*d > BLOCK_ELEMS streams full-width blocks of B
+    rows, B*N*d <= BLOCK_ELEMS (B >= 1).  The sums are einsum float sums
+    taken block by block, so this rule fixes the bits of every p = 2
+    report; ``l2_discrepancy_kernel``, which sums its symmetric half
+    exactly, has its own rule."""
     n, d = t.shape[-2:]
     rows = n if n * n * d <= BLOCK_ELEMS else max(1, BLOCK_ELEMS // (n * d))
     t1, t2 = np.zeros(len(t)), np.zeros(len(t))

@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from disclab import discrepancy
 from disclab.core import ProductDensity, WeightedPointSet, initial_error
 from disclab.density import Density1D, optimal_density
 from disclab.discrepancy import (
     BLOCK_ELEMS,
     MAX_CELLS,
+    _ExactSum,
     c_kernel,
     evaluate,
     l2_discrepancy_kernel,
@@ -51,6 +53,94 @@ def lp_pow_d1_reference(t, a, p):
     return math.fsum(antiderivative(edges[1:]) - antiderivative(edges[:-1]))
 
 
+def kernel_reference(pts, a):
+    """L_2 discrepancy from the full N x N kernel matrix, each sum one math.fsum."""
+    d = pts.shape[1]
+    h = np.prod((1.0 - pts ** 2) / 2.0, axis=1)
+    kmat = np.prod(1.0 - np.maximum(pts[:, None, :], pts[None, :, :]), axis=2)
+    t1 = math.fsum(a * h)
+    t2 = math.fsum((np.outer(a, a) * kmat).ravel())
+    return math.sqrt(math.fsum([3.0 ** (-d), -2.0 * t1, t2]))
+
+
+def exact_sum(*arrays):
+    acc = _ExactSum()
+    for x in arrays:
+        acc.add(x)
+    return acc.value()
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_fsum_across_exponent_range(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(3000) * 10.0 ** rng.uniform(-300, 300, 3000)
+        assert exact_sum(*np.array_split(x, 7)) == math.fsum(x)
+
+    def test_equals_fsum_under_cancellation(self):
+        rng = np.random.default_rng(5)
+        x = rng.random(2000) * 10.0 ** rng.uniform(-20, 20, 2000)
+        terms = np.concatenate([x, -x, [1e-30, 3.0]])
+        rng.shuffle(terms)
+        assert exact_sum(terms) == math.fsum(terms) == 3.0 + 1e-30
+        assert exact_sum(x, -x) == 0.0
+
+    def test_subnormals_and_zeros(self):
+        rng = np.random.default_rng(6)
+        tiny = 5e-324 * rng.integers(-2 ** 40, 2 ** 40, 500).astype(float)
+        terms = np.concatenate([tiny, [0.0, -0.0, 2.0 ** -1022, -(2.0 ** -1030)]])
+        assert exact_sum(terms) == math.fsum(terms)
+        assert exact_sum([5e-324, 5e-324, 5e-324]) == 1.5e-323
+
+    @pytest.mark.parametrize("terms", [
+        [1.0, 2.0 ** -53],                     # a tie: rounds to even
+        [1.0, 2.0 ** -53, 2.0 ** -106],        # just above the tie
+        [1.0 + 2.0 ** -52, 2.0 ** -53],        # a tie that rounds up
+        [0.1] * 10,
+    ])
+    def test_correct_rounding(self, terms):
+        assert exact_sum(terms) == math.fsum(terms)
+
+    def test_overflow(self):
+        # math.fsum gives up on an intermediate overflow; the exact sum does not
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308, -1e308])
+        assert exact_sum([1e308, 1e308, -1e308]) == 1e308
+        with pytest.raises(OverflowError):
+            exact_sum([1e308, 1e308])
+
+    @pytest.mark.parametrize("term", [1.0, -3.5e-310, 5e-324, 1.7976931348623157e308, 0.1, -0.0])
+    def test_single_term(self, term):
+        assert exact_sum([term]) == term
+
+    def test_empty(self):
+        assert exact_sum() == 0.0
+        assert exact_sum(np.array([]), []) == 0.0
+
+    def test_flush_path(self, monkeypatch):
+        monkeypatch.setattr(discrepancy, "_FLUSH_TERMS", 3)
+        flushes = []
+        flush = _ExactSum._flush
+        monkeypatch.setattr(_ExactSum, "_flush", lambda self: flushes.append(1) or flush(self))
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(500) * 10.0 ** rng.uniform(-30, 30, 500)
+        assert exact_sum(x[:200], x[200:201], x[201:]) == math.fsum(x)
+        assert len(flushes) > 100
+
+    @pytest.mark.parametrize("terms", [
+        [1.0, math.inf, 2.0], [-math.inf, 1e308], [math.nan, 1.0], [math.inf, math.nan, 1.0],
+        [math.inf, math.inf],
+    ])
+    def test_non_finite_terms_as_fsum(self, terms):
+        assert repr(exact_sum(np.array(terms))) == repr(math.fsum(terms))
+
+    def test_opposite_infinities_raise_as_fsum(self):
+        with pytest.raises(ValueError):
+            math.fsum([math.inf, -math.inf])
+        with pytest.raises(ValueError):
+            exact_sum([math.inf, 1.0], [-math.inf])
+
+
 class TestKernelP2:
     def test_optimal_one_point_rule(self):
         res = l2_discrepancy_kernel(WeightedPointSet([[1.0 / 3.0]], [2.0 / 3.0]))
@@ -64,16 +154,25 @@ class TestKernelP2:
 
     @pytest.mark.parametrize("n,d", [(701, 5), (150, 2)])
     def test_row_blocks_bit_identical_to_full_tensor(self, n, d):
-        rows = max(1, BLOCK_ELEMS // (n * d))
+        rows = max(1, BLOCK_ELEMS // n)
         assert 1 < rows < n and n % rows != 0
         rng = np.random.default_rng(n)
         pts, a = rng.random((n, d)), rng.random(n) / n
-        h = np.prod((1.0 - pts ** 2) / 2.0, axis=1)
-        kmat = np.prod(1.0 - np.maximum(pts[:, None, :], pts[None, :, :]), axis=2)
-        t1 = math.fsum(a * h)
-        t2 = math.fsum((np.outer(a, a) * kmat).ravel())
-        e2 = math.fsum([3.0 ** (-d), -2.0 * t1, t2])
-        assert l2_discrepancy_kernel(WeightedPointSet(pts, a)).value == math.sqrt(e2)
+        assert l2_discrepancy_kernel(WeightedPointSet(pts, a)).value == kernel_reference(pts, a)
+
+    @pytest.mark.parametrize("case", ["one point", "duplicates", "ties", "zero weights"])
+    def test_equals_full_matrix_fsum(self, case):
+        rng = np.random.default_rng(8)
+        n, d = (1, 3) if case == "one point" else (300, 3)
+        pts, a = rng.random((n, d)), rng.random(n) / n
+        if case == "duplicates":
+            pts[150:] = pts[:150]
+            a[150:] = a[:150]
+        elif case == "ties":
+            pts = np.floor(pts * 4.0) / 4.0
+        elif case == "zero weights":
+            a[rng.random(n) < 0.5] = 0.0
+        assert l2_discrepancy_kernel(WeightedPointSet(pts, a)).value == kernel_reference(pts, a)
 
     def test_memory_linear_in_n(self):
         # the full N x N x d tensor alone would take 160 MB here

@@ -1,7 +1,8 @@
 """Bad input is rejected the same way everywhere: every public function raises
 InvalidArgumentError (``UnsupportedExponentError`` for an exponent is one) and
 the CLI exits 2.  Each row of ``BAD_INPUT`` once returned a plausible number,
-raised an untyped error or, in the CLI, exited 1 with a traceback."""
+raised an untyped error, was accepted by a constructor whose run then failed
+or, in the CLI, exited 1 with a traceback."""
 
 import math
 import os
@@ -56,9 +57,15 @@ BAD_INPUT = {
         1.5, 1, "uniform", [], 3, 0),
     "ExperimentConfig evaluator=['x']": lambda: experiments.ExperimentConfig(
         p=2.0, d=1, N=4, density_kind="uniform", replications=2, seed=0, evaluator=["x"]),
+    "Density1D form='bogus'": lambda: density.Density1D("bogus"),
     "from_callable n_nodes=1.5": lambda: density.Density1D.from_callable(np.ones_like, 1.5),
     "from_callable scalar pdf": lambda: density.Density1D.from_callable(lambda t: 1.0),
     "export_csv n=0": lambda: _UNIFORM.export_csv(os.devnull, n=0),
+    # accepted at construction, then the run failed (p) or opened file descriptor 7
+    "ExperimentConfig optimal p=1e7": lambda: experiments.ExperimentConfig(
+        p=1e7, d=2, N=4, density_kind="optimal", replications=2, seed=0),
+    "ExperimentConfig density_file=7": lambda: experiments.ExperimentConfig(
+        p=2.0, d=1, N=4, density_kind="custom-file", replications=2, seed=0, density_file=7),
     # the CLI exited 1 with a traceback
     "cli header '1 x'": _cli("discrepancy", "{file}", "--p", "2", text="1 x\n0.5 1\n"),
     "cli header N=-2": _cli("discrepancy", "{file}", "--p", "2", text="1 -2\n"),
