@@ -226,7 +226,9 @@ def _rho_p1(t: np.ndarray) -> np.ndarray:
     return np.clip(rho, 0.0, None)
 
 
-_FORMS = ("uniform", "closed_form_p1", "closed_form_p2", "general", "custom")
+# each form with the exponent it fixes, if any
+_FORMS = {"uniform": None, "closed_form_p1": 1.0, "closed_form_p2": 2.0,
+          "general": None, "custom": None}
 
 
 class Density1D:
@@ -237,12 +239,27 @@ class Density1D:
     the module docstring) or ``custom`` (user-supplied pdf, tabulated CDF).
     The optimal forms carry their exponent in ``p``; ``closed_form_p1``
     shares the curve solves of ``general`` for its CDF and inverse.
-    Instances are immutable; all evaluation methods are pure.
+    Instances are immutable; all evaluation methods are pure.  ``general``
+    needs p in [1, P_MAX], the other forms fix p (None for ``uniform`` and
+    ``custom``), and ``custom`` needs both ``pdf_fn`` and the (t, cdf)
+    ``table``.
     """
 
     def __init__(self, form, p=None, pdf_fn=None, table=None):
         if not isinstance(form, str) or form not in _FORMS:
             raise InvalidArgumentError(f"unknown density form {form!r}")
+        if form == "general":
+            _check_p(p, P_MAX)
+            p = float(p)
+        else:
+            if p is not None:
+                _check_p(p)
+                if p != _FORMS[form]:
+                    raise InvalidArgumentError(
+                        f"the {form} density has p={_FORMS[form]}, got p={p!r}")
+            p = _FORMS[form]
+        if form == "custom" and (not callable(pdf_fn) or table is None):
+            raise InvalidArgumentError("a custom density needs a callable pdf_fn and a table")
         self.form = form
         self.p = p
         self._pdf_fn = pdf_fn
@@ -261,18 +278,17 @@ class Density1D:
 
     @classmethod
     def closed_form_p1(cls) -> "Density1D":
-        return cls("closed_form_p1", p=1.0)
+        return cls("closed_form_p1")
 
     @classmethod
     def closed_form_p2(cls) -> "Density1D":
-        return cls("closed_form_p2", p=2.0)
+        return cls("closed_form_p2")
 
     @classmethod
     def general(cls, p: float) -> "Density1D":
         """The optimal density by the general curve solves, at any p in
         [1, P_MAX], including the closed-form exponents 1 and 2."""
-        _check_p(p, P_MAX)
-        return cls("general", p=float(p))
+        return cls("general", p)
 
     @classmethod
     def from_table(cls, t, rho) -> "Density1D":

@@ -17,7 +17,10 @@ Five mutually cross-checking methods:
   nodes in bounded chunks; a guard on the integrand evaluations it would
   make rejects inputs that would run for more than about a minute.
 * ``lp_discrepancy_mc``      -- seeded plain Monte Carlo, the fallback for
-  d > 4, with a delta-method standard error on the 1/p-th root.
+  d > 4, with a delta-method standard error on the 1/p-th root.  It counts
+  dominance one coordinate at a time into an (m, N) mask per chunk of m
+  samples, so beyond its m x d draws a chunk holds m*N bools plus the
+  matvec's m*N float64 cast, with m*N <= 4e6 at any d.
 
 ``evaluate`` runs the one ``method_for`` picks.  Its one ``auto`` rule: the
 kernel at p = 2, the exact method at d = 1, cells at d <= 4, else Monte Carlo.
@@ -497,10 +500,23 @@ def lp_discrepancy_cells(
 def lp_discrepancy_mc(
     ps: WeightedPointSet, p: float, samples: int, seed: int
 ) -> DiscrepancyResult:
-    """Plain Monte Carlo estimate of L_p; deterministic for a fixed seed."""
+    """Plain Monte Carlo estimate of L_p; deterministic for a fixed seed.
+
+    The samples x are drawn from one Philox stream in chunks of m =
+    4_000_000 // N rows (at most ``samples``).  For a chunk, the counting
+    term sum_k a_k 1(t_k < x) is one matvec of the weights with the (m, N)
+    dominance mask, which is built one coordinate at a time (an AND of one
+    (m, N) comparison per coordinate), and the volume prod x_j is a running
+    product over the coordinates in order.  Beyond the m x d draws, a chunk
+    holds the m*N bools of the mask and the m*N float64 to which the matvec
+    casts it, at most about 36 MB, whatever d.  ``abs_error_estimate`` is
+    the standard error of the mean of |Delta|^p, taken to the value by the
+    delta method.
+    """
     _check_p(p)
     _check_counts(samples=(samples, 1000), seed=(seed, 0))
-    pts, a, d = ps.points, ps.weights, ps.d
+    a, d = ps.weights, ps.d
+    cols = ps.points.T.copy()  # one contiguous row per coordinate
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     s = s2 = 0.0
     done = 0
@@ -508,8 +524,12 @@ def lp_discrepancy_mc(
     while done < samples:
         m = min(chunk, samples - done)
         x = rng.random((m, d))
-        inside = np.all(pts[None, :, :] < x[:, None, :], axis=2)
-        delta = inside @ a - np.prod(x, axis=1)
+        inside = cols[0] < x[:, 0, None]
+        vol = x[:, 0].copy()
+        for j in range(1, d):
+            inside &= cols[j] < x[:, j, None]
+            vol *= x[:, j]
+        delta = inside @ a - vol
         y = np.abs(delta) ** p
         s += float(y.sum())
         s2 += float((y * y).sum())

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import ProductDensity, WeightedPointSet, _check_counts, _check_p, initial_error
-from .density import P_MAX, Density1D, optimal_density
+from .density import Density1D, optimal_density
 from .discrepancy import (
     BLOCK_ELEMS,
     METHODS,
@@ -39,7 +39,7 @@ from .discrepancy import (
     evaluate,
     method_for,
 )
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, UnsupportedExponentError
 
 __all__ = [
     "ExperimentConfig",
@@ -54,10 +54,21 @@ __all__ = [
 ]
 
 
+# Under the optimal density rho*_p the weights grow like (1 - t)^(-1/2) near
+# t = 1, so L_p^p has an infinite second moment from p = 3.5 on and an
+# infinite mean from p = OPTIMAL_P_LIMIT on, at every N and d.
+OPTIMAL_P_LIMIT = 5.0
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Description of one seeded average-discrepancy experiment;
-    ``evaluator`` is ``auto`` or a method tag of ``discrepancy.METHODS``."""
+    ``evaluator`` is ``auto`` or a method tag of ``discrepancy.METHODS``.
+
+    The optimal density needs p < OPTIMAL_P_LIMIT = 5, where the mean of
+    L_p^p is finite.  At 3.5 <= p < 5 the variance of L_p^p is infinite,
+    so the report's ``std_error`` is not a valid error estimate there.
+    """
 
     p: float
     d: int
@@ -74,8 +85,7 @@ class ExperimentConfig:
                       replications=(self.replications, 2), seed=(self.seed, 0))
         method_for(self.p, self.d, _method_name(self.evaluator), self.N)
         _check_density(self.density_kind, self.density_file)
-        if self.density_kind == "optimal":
-            _check_p(self.p, P_MAX)  # the range of optimal_density
+        _check_optimal_p(self.density_kind, self.p)
         if self.c_rescale not in ("none", "optimal_c"):
             raise InvalidArgumentError(f"unknown c_rescale {self.c_rescale!r}")
 
@@ -139,6 +149,13 @@ def _check_density(kind: str, density_file=None) -> None:
         raise InvalidArgumentError(f"density_file must be a path, got {density_file!r}")
     if kind == "custom-file" and not density_file:
         raise InvalidArgumentError("custom-file density needs density_file")
+
+
+def _check_optimal_p(kind: str, p: float) -> None:
+    if kind == "optimal" and p >= OPTIMAL_P_LIMIT:
+        raise UnsupportedExponentError(
+            f"the optimal density needs p < {OPTIMAL_P_LIMIT:g}, where the mean of "
+            f"L_p^p is finite; got p={p!r}")
 
 
 def _marginal_for(kind: str, p: float, density_file=None) -> Density1D:
@@ -346,10 +363,13 @@ def asymptotic_scaling_probe(
 
     Each N gets its own Philox stream block, so rows are independent and the
     whole table is reproducible from (seed, N_grid).  Returns a list of row
-    dicts {N, n_av_p, scaled, std_error_scaled}.
+    dicts {N, n_av_p, scaled, std_error_scaled}.  The optimal density needs
+    p < OPTIMAL_P_LIMIT = 5, and at 3.5 <= p < 5 ``std_error_scaled`` is not
+    valid (see ExperimentConfig).
     """
     N_grid = list(N_grid)
     _check_p(p)
+    _check_optimal_p(density_kind, p)
     _check_counts(d=(d, 1), replications=(replications, 2), seed=(seed, 0),
                   **{f"N_grid[{i}]": (n, 1) for i, n in enumerate(N_grid)})
     if not N_grid or any(b <= a for a, b in zip(N_grid, N_grid[1:])):

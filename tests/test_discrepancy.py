@@ -12,6 +12,7 @@ from disclab.density import Density1D, optimal_density
 from disclab.discrepancy import (
     BLOCK_ELEMS,
     MAX_CELLS,
+    DiscrepancyResult,
     _ExactSum,
     c_kernel,
     evaluate,
@@ -387,7 +388,74 @@ class TestExactD1:
             lp_discrepancy_d1(WeightedPointSet([[0.5, 0.5]], [1.0]), 1.5)
 
 
+def mc_tensor_reference(ps, p, samples, seed):
+    """lp_discrepancy_mc as it was with the (m, N, d) comparison tensor,
+    argument checks left out."""
+    pts, a, d = ps.points, ps.weights, ps.d
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    s = s2 = 0.0
+    done = 0
+    chunk = max(1, min(samples, 4_000_000 // max(ps.n, 1)))
+    while done < samples:
+        m = min(chunk, samples - done)
+        x = rng.random((m, d))
+        inside = np.all(pts[None, :, :] < x[:, None, :], axis=2)
+        delta = inside @ a - np.prod(x, axis=1)
+        y = np.abs(delta) ** p
+        s += float(y.sum())
+        s2 += float((y * y).sum())
+        done += m
+    mean = s / samples
+    var = max(s2 - samples * mean * mean, 0.0) / (samples - 1)
+    se_mean = math.sqrt(var / samples)
+    if mean > 0.0:
+        value = mean ** (1.0 / p)
+        se_val = se_mean / (p * mean ** (1.0 - 1.0 / p))
+    else:
+        value, se_val = 0.0, se_mean ** (1.0 / p)
+    return DiscrepancyResult(
+        value=value, p=float(p), method="monte_carlo",
+        abs_error_estimate=se_val, evaluations=samples, d=d, n=ps.n,
+    )
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("n", [1, 10, 5000])
+    @pytest.mark.parametrize("d", [1, 3, 6, 20])
+    def test_equals_tensor_reference_bit_for_bit(self, d, n):
+        # N = 5000 gives chunks of 800 < 1000 samples; zero weights,
+        # duplicate points and points that tie samples of seed 3 in their
+        # last coordinate and lie below them in the others included
+        rng = np.random.default_rng(d * 7919 + n)
+        pts = rng.random((n, d)) ** d  # each dominated by ~1/e of the x at any d
+        w = rng.random(n) / n
+        w[::3] = 0.0
+        pts[n // 2] = pts[0]
+        k = (n + 3) // 4
+        pts[-k:] = np.random.Generator(np.random.Philox(np.random.SeedSequence(3))).random(
+            (k, d))
+        pts[-k:, :-1] *= 0.5
+        ps = WeightedPointSet(pts, w)
+        for p, seed in ((1.0, 3), (4.0, 2 ** 40)):
+            res = lp_discrepancy_mc(ps, p, samples=1000, seed=seed)
+            assert res == mc_tensor_reference(ps, p, 1000, seed)
+        assert evaluate(ps, 1.5, "mc", samples=1200, seed=8) == mc_tensor_reference(
+            ps, 1.5, 1200, 8)
+
+    def test_memory_does_not_grow_with_d(self):
+        # the (m, N, d) tensor doubled the peak from d = 2 to d = 16
+        rng = np.random.default_rng(12)
+        peaks = {}
+        for d in (2, 16):
+            ps = WeightedPointSet(rng.random((4000, d)), np.full(4000, 1.0 / 4000))
+            tracemalloc.start()
+            try:
+                lp_discrepancy_mc(ps, 1.5, samples=10_000, seed=1)
+                _, peaks[d] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] <= 1.25 * peaks[2]
+
     def test_matches_cells_statistically(self):
         for ps in random_sets(6, seed=31):
             for p in (1.0, 1.5, 3.0):

@@ -44,6 +44,9 @@ BAD_INPUT = {
     "exact_nav2 N=1.5": lambda: experiments.exact_nav2(1.5, 2, "uniform"),
     "exact_nav2 N=True": lambda: experiments.exact_nav2(True, 2, "uniform"),
     "optimal_density p=True": lambda: density.optimal_density(True),
+    "Density1D general p=0.5": lambda: density.Density1D("general", 0.5),
+    "Density1D uniform p=3": lambda: density.Density1D("uniform", 3.0),
+    "Density1D closed_form_p1 p=3": lambda: density.Density1D("closed_form_p1", 3.0),
     "from_table t=nan": lambda: density.Density1D.from_table([0, NAN, 1], [1, 1, 1]),
     "from_table rho=nan": lambda: density.Density1D.from_table([0, 0.5, 1], [1, NAN, 1]),
     # untyped errors
@@ -58,6 +61,9 @@ BAD_INPUT = {
     "ExperimentConfig evaluator=['x']": lambda: experiments.ExperimentConfig(
         p=2.0, d=1, N=4, density_kind="uniform", replications=2, seed=0, evaluator=["x"]),
     "Density1D form='bogus'": lambda: density.Density1D("bogus"),
+    "Density1D general no p": lambda: density.Density1D("general"),
+    "Density1D custom no pdf_fn": lambda: density.Density1D("custom"),
+    "Density1D custom no table": lambda: density.Density1D("custom", pdf_fn=np.ones_like),
     "from_callable n_nodes=1.5": lambda: density.Density1D.from_callable(np.ones_like, 1.5),
     "from_callable scalar pdf": lambda: density.Density1D.from_callable(lambda t: 1.0),
     "export_csv n=0": lambda: _UNIFORM.export_csv(os.devnull, n=0),
@@ -66,6 +72,17 @@ BAD_INPUT = {
         p=1e7, d=2, N=4, density_kind="optimal", replications=2, seed=0),
     "ExperimentConfig density_file=7": lambda: experiments.ExperimentConfig(
         p=2.0, d=1, N=4, density_kind="custom-file", replications=2, seed=0, density_file=7),
+    # averaged an infinite expectation: L_p^p under rho*_p has no finite mean
+    "ExperimentConfig optimal p=5": lambda: experiments.ExperimentConfig(
+        p=5.0, d=2, N=4, density_kind="optimal", replications=2, seed=0),
+    "ExperimentConfig optimal p=8": lambda: experiments.ExperimentConfig(
+        p=8.0, d=1, N=4, density_kind="optimal", replications=2, seed=0),
+    "scaling probe optimal p=5": lambda: experiments.asymptotic_scaling_probe(
+        5.0, 1, "optimal", [4], 3, 0),
+    "cli experiment optimal p=6": _cli(
+        "experiment", "--config", "{file}",
+        text='{"p": 6, "d": 1, "N": 4, "density_kind": "optimal", '
+             '"replications": 2, "seed": 0}'),
     # the CLI exited 1 with a traceback
     "cli header '1 x'": _cli("discrepancy", "{file}", "--p", "2", text="1 x\n0.5 1\n"),
     "cli header N=-2": _cli("discrepancy", "{file}", "--p", "2", text="1 -2\n"),
@@ -123,3 +140,11 @@ def test_even_p_size_guard_checked_at_construction():
                                      replications=2, seed=0, evaluator="even_p_exact")
     experiments.ExperimentConfig(p=4.0, d=1, N=16, density_kind="uniform",
                                  replications=2, seed=0, evaluator="even_p_exact")
+
+
+def test_optimal_density_limit_is_p5():
+    # below 5 the optimal density runs, and uniform sampling has no limit
+    for p, kind in ((4.9, "optimal"), (8.0, "uniform")):
+        experiments.ExperimentConfig(p=p, d=1, N=4, density_kind=kind,
+                                     replications=2, seed=0)
+    assert experiments.asymptotic_scaling_probe(4.9, 1, "optimal", [4], 3, 0)
