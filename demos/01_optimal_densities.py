@@ -35,9 +35,9 @@ for p in (1.0, 1.5, 2.0, 3.0, 10.0, 100.0):
 print("\nvariational constants")
 for p in (1.0, 2.0, 3.0, 10.0):
     sol = dl.variational_solution(p)
-    j_quad = dl.J_functional(dl.optimal_density(p), p)
+    j_beta = dl.J_functional(dl.optimal_density(p), p)
     print(f"  p={p:<4g} S1={sol.S1:.6f}  Jmin={sol.Jmin:.8f}  "
-          f"J by quadrature={j_quad:.8f}")
+          f"J by Beta integral={j_beta:.8f}")
 
 for p in (10.0, 100.0):
     path = f"density_p{p:g}.csv"

@@ -27,7 +27,6 @@ from .density import (
 )
 from .discrepancy import (
     DiscrepancyResult,
-    KernelConstants,
     c_kernel,
     evaluate,
     l2_discrepancy_kernel,

@@ -111,8 +111,10 @@ def _golden_checks():
     """Name -> (observed, expected, tolerance) for the verify suite."""
     p2 = density_mod.optimal_density(2.0)
     checks = {
-        "p2-c-kernel": (disc_mod.c_kernel(ProductDensity(1, p2)).C_K, 4.0 / 9.0, 1e-10),
+        "p2-c-kernel": (disc_mod.c_kernel(ProductDensity(1, p2)), 4.0 / 9.0, 1e-10),
         "p2-jmin": (density_mod.J_functional(p2, 2.0), 4.0 / 9.0, 1e-7),
+        # the checks above are closed forms; this one goes through the solve
+        "p3-normalization": (density_mod.optimal_density(3.0).normalization(), 1.0, 1e-9),
         "p2-one-point-third": (
             disc_mod.l2_discrepancy_kernel(
                 WeightedPointSet([[1.0 / 3.0]], [2.0 / 3.0])

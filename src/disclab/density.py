@@ -27,8 +27,9 @@ so that s^e = exp(e w) keeps its precision where t^{p/2} would underflow;
 ``cdf(t)`` is F at the solved s.  Optimal densities hold no table.  The pdf
 keeps its closed forms for p = 1 (trigonometric Cardano branch) and p = 2
 (rho*(t) = (3/2) sqrt(1-t), with closed-form CDF and inverse too).
-``J_functional`` of an optimal density integrates over s and calls no
-solver; ``normalization`` integrates the pdf itself, so it checks the solve.
+``J_functional`` of an optimal density is a Beta integral over s in closed
+form and calls no solver; ``normalization`` integrates the pdf itself, so it
+checks the solve.
 
 Useful facts used throughout (all following from the first integral of the
 Euler-Lagrange equation):
@@ -437,22 +438,23 @@ def S_of_x(density: Density1D, x: float) -> float:
     S(x) = S1 (1 - rho p/(p+1))^{2/p} with the implicit curve equation gives
     S(x) = S1 * x / (1 + 2 rho(x)/(p+1)), which stays fully conditioned even
     for large p.  Uniform is the identity; custom densities are integrated
-    numerically.
+    numerically, and a zero of rho under a quadrature node fails the check.
     """
     if not (0.0 <= x <= 1.0):
         raise InvalidArgumentError(f"x must lie in [0, 1], got {x}")
     if density.form == "uniform":
         return float(x)
-    if density.form == "closed_form_p2":
-        return (4.0 / 3.0) * (1.0 - math.sqrt(max(1.0 - x, 0.0)))
     if density.p is not None:
         p = density.p
         s1 = (p + 2.0) / (p + 1.0)
         rho = float(density.pdf(x))
         return s1 * x / (1.0 + 2.0 * rho / (p + 1.0))
-    # custom: direct quadrature, with a divergence check
-    val, err = quad(lambda s: 1.0 / density.pdf(s), 0.0, x,
-                    epsabs=1e-10, epsrel=1e-10, limit=200)
+
+    def integrand(t):
+        r = float(density.pdf(t))
+        return 1.0 / r if r > 0.0 else math.inf
+
+    val, err = quad(integrand, 0.0, x, epsabs=1e-10, epsrel=1e-10, limit=200)
     if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
         raise IntegrationFailureError(
             f"integral of 1/rho up to x={x} did not converge (err={err:.1e})"
@@ -461,27 +463,45 @@ def S_of_x(density: Density1D, x: float) -> float:
 
 
 def J_functional(density: Density1D, p: float) -> float:
-    """J(rho) = int_0^1 S(x)^{p/2} dx by adaptive quadrature.
+    """J(rho) = int_0^1 S(x)^{p/2} dx, in closed form but for custom densities.
 
-    For an optimal density of exponent q (not necessarily p) the integral
-    runs over its curve parameter s: S = S1 s^{2/q} and
-    dx = e(1+e) s^{e-1} (1-s) ds with e = 2/q, so J is
-    e(1+e) S1^{p/2} int (1-s) s^{e(1+p/2)-1} ds, its power of s taken as an
-    algebraic quadrature weight.  Other densities integrate S_of_x over x.
+    Uniform gives 2/(p+2).  For an optimal density of exponent q (not
+    necessarily p) the integral runs over its curve parameter s:
+    S = S1 s^e and dx = e(1+e) s^{e-1} (1-s) ds with e = 2/q, so J is the
+    Beta integral e(1+e) S1^{p/2} int (1-s) s^{a-1} ds
+    = (1+e) S1^{p/2} / ((1+p/2)(1+a)) with a = e(1+p/2).  A custom density
+    is integrated: at p = 2 by Fubini, J = int_0^1 (1-t)/rho(t) dt, and at
+    other p as S_of_x^{p/2} over x.  Raises IntegrationFailureError when J
+    exceeds the float range or the quadrature does not converge.
     """
     _check_p(p)
+    if density.form == "uniform":
+        return 2.0 / (p + 2.0)
     if density.p is not None:
-        q = density.p
-        e, s1 = 2.0 / q, (q + 2.0) / (q + 1.0)
-        scale = e * (1.0 + e) * s1 ** (p / 2.0)
-        val, err = quad(lambda s: scale * (1.0 - s), 0.0, 1.0,
-                        weight="alg", wvar=(e * (1.0 + p / 2.0) - 1.0, 0.0),
-                        epsabs=1e-10, epsrel=1e-10, limit=200)
+        e, s1, h = 2.0 / density.p, (density.p + 2.0) / (density.p + 1.0), 1.0 + p / 2.0
+        try:
+            val = (1.0 + e) * s1 ** (p / 2.0) / (h * (e * h + 1.0))
+        except OverflowError:
+            val = math.inf
+    elif p == 2.0:
+        def integrand(t):
+            r = float(density.pdf(t))
+            if r <= 0.0:
+                # integrable endpoint singularities only; interior zeros
+                # diverge and show up in the quadrature error below
+                return 0.0 if t >= 1.0 - 1e-14 else math.inf
+            return (1.0 - t) / r
+
+        val, err = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400)
+        if err > 1e-8 * max(1.0, abs(val)):
+            raise IntegrationFailureError(
+                f"J functional quadrature did not converge (err={err:.2e})"
+            )
     else:
         val, err = quad(lambda x: S_of_x(density, x) ** (p / 2.0), 0.0, 1.0,
                         epsabs=1e-10, epsrel=1e-10, limit=200)
     if not math.isfinite(val):
-        raise IntegrationFailureError("J functional diverged")
+        raise IntegrationFailureError(f"J functional at p={p} is not a finite float")
     return val
 
 

@@ -43,11 +43,10 @@ from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .core import ProductDensity, WeightedPointSet, _check_counts, _check_p
+from .density import J_functional
 from .errors import (
-    IntegrationFailureError,
     InvalidArgumentError,
     NumericalInconsistencyError,
     SizeLimitError,
@@ -55,7 +54,6 @@ from .errors import (
 
 __all__ = [
     "DiscrepancyResult",
-    "KernelConstants",
     "l2_discrepancy_kernel",
     "lp_discrepancy_d1",
     "lp_discrepancy_even",
@@ -119,15 +117,6 @@ class DiscrepancyResult:
             "evaluations": self.evaluations,
             "clamped": self.clamped,
         }
-
-
-@dataclass(frozen=True)
-class KernelConstants:
-    """C(K_d, rho_d) for a product density, with the 3^-d reference."""
-
-    d: int
-    C_K: float
-    init_sq: float
 
 
 class _ExactSum:
@@ -548,30 +537,20 @@ def lp_discrepancy_mc(
     )
 
 
-def c_kernel(rho: ProductDensity) -> KernelConstants:
-    """C(K_d, rho_d) = (int_0^1 (1-t)/rho(t) dt)^d for a product density."""
-    marginal = rho.marginal
+def c_kernel(rho: ProductDensity) -> float:
+    """C(K_d, rho_d) = (int_0^1 (1-t)/rho(t) dt)^d for a product density.
 
-    def integrand(t):
-        r = float(marginal.pdf(t))
-        if r <= 0.0:
-            # integrable endpoint singularities only; interior zeros diverge
-            # and show up in the quadrature error below
-            return 0.0 if t >= 1.0 - 1e-14 else math.inf
-        return (1.0 - t) / r
-
-    c1, err = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400)
-    if not math.isfinite(c1) or err > 1e-8 * max(1.0, abs(c1)):
-        raise IntegrationFailureError(
-            f"C(K_1, rho) quadrature did not converge (err={err:.2e})"
-        )
-    c_k = c1 ** rho.d
-    init_sq = 3.0 ** (-rho.d)
-    if c_k < init_sq * (1.0 - 1e-12):
+    By Fubini the one-dimensional integral is J(rho, 2), so this is
+    ``J_functional(rho.marginal, 2.0) ** d``: closed form for the uniform and
+    optimal marginals, quadrature for custom ones.  Raises
+    NumericalInconsistencyError below the Cauchy-Schwarz floor 3^-d.
+    """
+    c_k = J_functional(rho.marginal, 2.0) ** rho.d
+    if c_k < 3.0 ** (-rho.d) * (1.0 - 1e-12):
         raise NumericalInconsistencyError(
             f"C(K_d, rho_d)={c_k} below the Cauchy-Schwarz floor 3^-d"
         )
-    return KernelConstants(d=rho.d, C_K=c_k, init_sq=init_sq)
+    return c_k
 
 
 def method_for(p: float, d: int, method: str = "auto", n: int | None = None) -> str:

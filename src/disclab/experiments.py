@@ -262,8 +262,7 @@ def run_average_discrepancy(cfg: ExperimentConfig) -> ExperimentReport:
     marginal = _marginal_for(cfg.density_kind, cfg.p, cfg.density_file)
     c_factor = 1.0
     if cfg.c_rescale == "optimal_c":
-        kc = c_kernel(ProductDensity(cfg.d, marginal))
-        c_factor = optimal_c_rescale(cfg.N, cfg.d, kc.C_K)
+        c_factor = optimal_c_rescale(cfg.N, cfg.d, c_kernel(ProductDensity(cfg.d, marginal)))
     lp_vals, resamples = _lp_pow_values(
         cfg.p, cfg.N, cfg.d, marginal, cfg.evaluator, cfg.replications,
         (cfg.seed,), c_factor,
@@ -285,16 +284,12 @@ def run_average_discrepancy(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def exact_nav2(N: int, d: int, density_kind: str) -> float:
-    """Closed-form n-av_2: 3^{d/2} sqrt((C^d - 3^-d)/N) with C = 1/2 for
-    uniform sampling and C = 4/9 for the optimal density."""
+    """Closed-form n-av_2: 3^{d/2} sqrt((C(K_d, rho_d) - 3^-d)/N), with C
+    from ``c_kernel``'s closed form, (1/2)^d for uniform sampling and
+    (4/9)^d for the optimal density."""
     _check_counts(N=(N, 1), d=(d, 1))
-    if density_kind == "uniform":
-        c1 = 0.5
-    elif density_kind == "optimal":
-        c1 = 4.0 / 9.0
-    else:
-        raise InvalidArgumentError(f"no closed form for {density_kind!r}")
-    return 3.0 ** (d / 2.0) * math.sqrt((c1 ** d - 3.0 ** (-d)) / N)
+    c_k = c_kernel(ProductDensity(d, _marginal_for(density_kind, 2.0)))
+    return 3.0 ** (d / 2.0) * math.sqrt((c_k - 3.0 ** (-d)) / N)
 
 
 def optimal_c_rescale(N: int, d: int, C_K: float) -> float:
@@ -325,8 +320,7 @@ def c_rescale_experiment(
     """
     _check_counts(N=(N, 1), d=(d, 1), replications=(replications, 2), seed=(seed, 0))
     marginal = _marginal_for(density_kind, 2.0)  # custom-file needs a file: rejected
-    kc = c_kernel(ProductDensity(d, marginal))
-    c_star = optimal_c_rescale(N, d, kc.C_K)
+    c_star = optimal_c_rescale(N, d, c_kernel(ProductDensity(d, marginal)))
     t1 = np.empty(replications)
     t2 = np.empty(replications)
     for reps in _chunks(replications, N, d):

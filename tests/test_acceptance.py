@@ -53,7 +53,7 @@ def test_criterion_1_golden_constants(capsys):
     t0 = time.perf_counter()
     checks = []
     kc = c_kernel(ProductDensity(1, dl.optimal_density(2.0)))
-    checks.append(abs(kc.C_K - 4.0 / 9.0) <= 1e-12)
+    checks.append(abs(kc - 4.0 / 9.0) <= 1e-12)
     for p in (1.0, 2.0, 3.0, 10.0):
         checks.append(
             abs(dl.variational_solution(p).S1 - (p + 2.0) / (p + 1.0)) <= 1e-12

@@ -212,6 +212,11 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert out.count("PASS") >= 10
 
+    def test_normalization_check_runs_the_solve(self, capsys):
+        code, out, _ = run(["verify", "--only", "normalization"], capsys)
+        assert code == 0
+        assert out.startswith("PASS  p3-normalization")
+
     def test_only_filter(self, capsys):
         code, out, _ = run(["verify", "--only", "p2"], capsys)
         assert code == 0

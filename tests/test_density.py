@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from disclab.density import (
     Density1D,
@@ -19,7 +20,7 @@ from disclab.density import (
     residual_eq_rho,
     variational_solution,
 )
-from disclab.errors import InvalidArgumentError
+from disclab.errors import IntegrationFailureError, InvalidArgumentError
 
 P_GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0)
 
@@ -182,6 +183,16 @@ class TestSOfX:
         with pytest.raises(InvalidArgumentError):
             S_of_x(Density1D.uniform(), 1.5)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_table_zero_under_a_node_is_typed(self, tmp_path):
+        # the exported table has rho(1) = 0, and a quad node rounds to t = 1;
+        # 1/rho there once raised ZeroDivisionError
+        path = tmp_path / "rho_p2.csv"
+        optimal_density(2.0).export_csv(path, n=513)
+        t, rho = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1)).T
+        with pytest.raises(IntegrationFailureError):
+            S_of_x(Density1D.from_table(t, rho), 1.0)
+
 
 class TestJFunctional:
     def test_uniform_p2(self):
@@ -202,6 +213,37 @@ class TestJFunctional:
     def test_matches_closed_form_minimum(self, p):
         jmin = variational_solution(p).Jmin
         assert J_functional(optimal_density(p), p) == pytest.approx(jmin, abs=1e-7)
+
+    @pytest.mark.parametrize("p", (1e5, 1e6))
+    def test_uniform_large_p(self, p):
+        # quadrature once returned 7.5e-27 at p = 1e5 and 0.0 at p = 1e6
+        assert J_functional(Density1D.uniform(), p) == 2.0 / (p + 2.0)
+
+    def test_p1_density_large_p_is_finite(self):
+        # quadrature once raised "J functional diverged" here
+        assert J_functional(optimal_density(1.0), 1000.0) == pytest.approx(
+            3.0 * 1.5 ** 500.0 / (501.0 * 1003.0), rel=1e-13)
+
+    def test_overflow_is_typed(self):
+        # 1.5^5000 once escaped as an untyped OverflowError
+        with pytest.raises(IntegrationFailureError):
+            J_functional(optimal_density(1.0), 1e4)
+
+    @pytest.mark.parametrize("q", (1.5, 3.0, 10.0))
+    @pytest.mark.parametrize("p", (1.0, 2.0, 4.0, 7.0))
+    def test_closed_form_matches_s_quadrature(self, q, p):
+        # S_of_x goes through the pdf solve, the closed form does not
+        dens = optimal_density(q)
+        val, _ = quad(lambda x: S_of_x(dens, x) ** (p / 2.0), 0.0, 1.0,
+                      epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert J_functional(dens, p) == pytest.approx(val, abs=1e-9)
+
+    def test_custom_p2_fubini(self):
+        dens = Density1D.from_callable(lambda t: 0.5 + t)
+        j = J_functional(dens, 2.0)
+        assert j == pytest.approx(1.5 * math.log(3.0) - 1.0, rel=1e-12)
+        val, _ = quad(lambda x: S_of_x(dens, x), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
+        assert j == pytest.approx(val, abs=1e-9)
 
     def test_cross_optimality(self):
         # the p-optimal density beats uniform and the other closed forms at p

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from disclab import discrepancy
 from disclab.core import ProductDensity, WeightedPointSet, initial_error
@@ -484,27 +485,38 @@ class TestMonteCarlo:
 class TestCKernel:
     def test_uniform(self):
         kc = c_kernel(ProductDensity(1, Density1D.uniform()))
-        assert kc.C_K == pytest.approx(0.5, abs=1e-12)
-        assert kc.init_sq == pytest.approx(1.0 / 3.0)
+        assert kc == pytest.approx(0.5, abs=1e-12)
 
     def test_optimal_p2(self):
         kc = c_kernel(ProductDensity(1, optimal_density(2.0)))
-        assert kc.C_K == pytest.approx(4.0 / 9.0, abs=1e-10)
+        assert kc == pytest.approx(4.0 / 9.0, abs=1e-10)
 
     def test_optimal_p2_tensor_power(self):
         kc = c_kernel(ProductDensity(3, optimal_density(2.0)))
-        assert kc.C_K == pytest.approx((4.0 / 9.0) ** 3, rel=1e-9)
+        assert kc == pytest.approx((4.0 / 9.0) ** 3, rel=1e-9)
 
     def test_optimal_p1_value(self):
         # 50-digit quadrature of (1-t)/rho_1*(t) gives exactly 9/20
         kc = c_kernel(ProductDensity(1, optimal_density(1.0)))
-        assert kc.C_K == pytest.approx(0.45, abs=1e-8)
+        assert kc == pytest.approx(0.45, abs=1e-8)
+
+    @pytest.mark.parametrize("q", (1.0, 1.5, 2.0, 3.0, 10.0, 100.0))
+    def test_closed_form_matches_pdf_quadrature(self, q):
+        # the quadrature goes through the pdf solve, the closed form does not
+        dens = optimal_density(q)
+
+        def integrand(t):
+            r = dens.pdf(t)
+            return (1.0 - t) / r if r > 0.0 else 0.0
+
+        val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400)
+        assert c_kernel(ProductDensity(1, dens)) == pytest.approx(val, rel=1e-12)
 
     def test_lower_bound_invariant(self):
         for p in (1.0, 2.0, 3.0):
             for d in (1, 2):
                 kc = c_kernel(ProductDensity(d, optimal_density(p)))
-                assert kc.C_K >= 3.0 ** (-d)
+                assert kc >= 3.0 ** (-d)
 
 
 class TestDispatch:

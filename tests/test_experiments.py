@@ -223,7 +223,7 @@ class TestChunkedHarness:
         n, d, reps, seed = 16, 2, 40, 77
         marginal = _marginal_for("optimal", 2.0)
         kc = c_kernel(ProductDensity(d, marginal))
-        c_star = optimal_c_rescale(n, d, kc.C_K)
+        c_star = optimal_c_rescale(n, d, kc)
         ref = np.empty(reps)
         for r in range(reps):
             t, a, _ = sample_rep_reference(_rng(seed, r), n, d, marginal)
@@ -372,6 +372,12 @@ class TestExactNav2:
         assert exact_nav2(64, 2, "uniform") == pytest.approx(
             exact_nav2(16, 2, "uniform") / 2.0
         )
+
+    @pytest.mark.parametrize("n, d, kind", [
+        (16, 2, "optimal"), (16, 3, "uniform"), (1, 1, "optimal"), (16, 8, "optimal")])
+    def test_equals_constant_formula(self, n, d, kind):
+        c1 = 4.0 / 9.0 if kind == "optimal" else 0.5
+        assert exact_nav2(n, d, kind) == 3.0 ** (d / 2.0) * math.sqrt((c1 ** d - 3.0 ** (-d)) / n)
 
     def test_no_closed_form_for_custom(self):
         with pytest.raises(InvalidArgumentError):
