@@ -106,25 +106,49 @@ def residual_eq_rho(p: float, t: float, rho_val: float) -> float:
 # the curve (*) in w = log s
 # ---------------------------------------------------------------------------
 
-def _log_x(p, w):
-    """log x(s) and its derivative in w = log s."""
+def _log_x(p, w, val, slope, m, tmp):
+    """log x(s) into val and its derivative in w = log s into slope, with
+    m and tmp as scratch."""
     e = 2.0 / p
-    m = -np.expm1(w)  # 1 - s, exact near s = 1
-    return e * w + np.log1p(e * m), e * (1.0 + e) * m / (1.0 + e * m)
+    np.expm1(w, out=m)
+    np.negative(m, out=m)  # 1 - s, exact near s = 1
+    np.multiply(e, m, out=tmp)
+    np.log1p(tmp, out=val)
+    np.multiply(e, w, out=slope)
+    val += slope
+    np.multiply(e * (1.0 + e), m, out=slope)
+    tmp += 1.0
+    slope /= tmp
 
 
-def _p_excess(p, m):
-    """P(s)/c - 1 at m = 1 - s: a sum of non-negative terms, so it keeps
-    its relative precision near s = 1."""
-    return (2.0 / p * m * m + m * (2.0 - m) / (p + 1.0)) * ((p + 1.0) / p)
+def _p_excess(p, m, out, tmp):
+    """P(s)/c - 1 at m = 1 - s into out, with tmp as scratch: a sum of
+    non-negative terms, so it keeps its relative precision near s = 1."""
+    np.multiply(2.0 / p, m, out=out)
+    out *= m
+    np.subtract(2.0, m, out=tmp)
+    tmp *= m
+    tmp /= p + 1.0
+    out += tmp
+    out *= (p + 1.0) / p
+    return out
 
 
-def _log_cdf(p, w):
-    """log F(s) and its derivative in w = log s."""
+def _log_cdf(p, w, val, slope, m, tmp):
+    """log F(s) into val and its derivative in w = log s into slope, with
+    m and tmp as scratch."""
     e, c = 2.0 / p, p / (p + 1.0)
-    m = -np.expm1(w)
-    q = _p_excess(p, m)
-    return e * w + np.log1p(q), e * (1.0 + e) * m * m / (c * (1.0 + q))
+    np.expm1(w, out=m)
+    np.negative(m, out=m)
+    q = _p_excess(p, m, val, tmp)
+    np.add(q, 1.0, out=slope)
+    slope *= c
+    np.log1p(q, out=val)
+    np.multiply(e, w, out=tmp)
+    val += tmp
+    np.multiply(e * (1.0 + e), m, out=tmp)
+    tmp *= m
+    np.divide(tmp, slope, out=slope)
 
 
 def _solve_w(p, y, log_f, log_scale, m_hi):
@@ -135,17 +159,26 @@ def _solve_w(p, y, log_f, log_scale, m_hi):
     never exceed it.  Near s = 1, 1 - s ~ m_hi.  Newton starts from the
     larger of the two, and each step is clipped to [w_lo, 0].  Raises
     SolverFailureError if a residual before the last step exceeds SOLVE_TOL.
+    ``log_f`` writes its value and slope into the first two of four
+    buffers and uses the rest as scratch, so the steps allocate nothing;
+    the clip turns -0.0 into 0.0 at the upper bound, as np.clip does.
     """
     e = 2.0 / p
     with np.errstate(divide="ignore", invalid="ignore"):
         log_y = np.log(y)
         w_lo = 0.5 * p * (log_y + log_scale - math.log1p(e))
         w = np.maximum(w_lo, np.log1p(-np.minimum(m_hi, 1.0)))
+        val, slope, res, step = buf = np.empty((4,) + w.shape)
+        rising = np.empty(w.shape, dtype=bool)
         for _ in range(NEWTON_STEPS):
-            val, slope = log_f(p, w)
-            res = val - log_y
-            step = np.divide(res, slope, out=np.zeros_like(res), where=slope > 0.0)
-            w = np.clip(w - step, w_lo, 0.0)
+            log_f(p, w, *buf)
+            np.subtract(val, log_y, out=res)
+            np.greater(slope, 0.0, out=rising)
+            step.fill(0.0)
+            np.divide(res, slope, out=step, where=rising)
+            w -= step
+            np.maximum(w_lo, w, out=w)
+            np.minimum(w, 0.0, out=w)
     bad = np.abs(res) > SOLVE_TOL
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -237,13 +270,16 @@ class Density1D:
 
     ``form`` is one of ``uniform``, ``closed_form_p1``, ``closed_form_p2``,
     ``general`` (optimal density for any exponent, by the curve solves of
-    the module docstring) or ``custom`` (user-supplied pdf, tabulated CDF).
+    the module docstring) or ``custom`` (a (t, rho) table).
     The optimal forms carry their exponent in ``p``; ``closed_form_p1``
     shares the curve solves of ``general`` for its CDF and inverse.
+    A custom density samples from the piecewise-linear interpolant of its
+    table, divided by its trapezoid total, by the exact inverse of that
+    interpolant's quadratic CDF; its pdf is that interpolant, or ``pdf_fn``
+    if one is given (``from_callable``).
     Instances are immutable; all evaluation methods are pure.  ``general``
     needs p in [1, P_MAX], the other forms fix p (None for ``uniform`` and
-    ``custom``), and ``custom`` needs both ``pdf_fn`` and the (t, cdf)
-    ``table``.
+    ``custom``), and ``custom`` needs the (t, rho) ``table``.
     """
 
     def __init__(self, form, p=None, pdf_fn=None, table=None):
@@ -259,17 +295,14 @@ class Density1D:
                     raise InvalidArgumentError(
                         f"the {form} density has p={_FORMS[form]}, got p={p!r}")
             p = _FORMS[form]
-        if form == "custom" and (not callable(pdf_fn) or table is None):
-            raise InvalidArgumentError("a custom density needs a callable pdf_fn and a table")
+        if form == "custom" and not (isinstance(table, (tuple, list)) and len(table) == 2):
+            raise InvalidArgumentError("a custom density needs a (t, rho) table")
+        if pdf_fn is not None and not callable(pdf_fn):
+            raise InvalidArgumentError("pdf_fn must be callable")
         self.form = form
         self.p = p
         self._pdf_fn = pdf_fn
-        if table is not None:
-            t, cdf = table
-            self._table_t = np.asarray(t, dtype=float)
-            self._table_cdf = np.asarray(cdf, dtype=float)
-        else:
-            self._table_t = self._table_cdf = None
+        self._table = _segments(*table) if form == "custom" else None
 
     # -- constructors -------------------------------------------------------
 
@@ -293,23 +326,18 @@ class Density1D:
 
     @classmethod
     def from_table(cls, t, rho) -> "Density1D":
-        """Custom density from a tabulated (t, rho) grid; pdf is interpolated
-        linearly and the CDF is the renormalized cumulative trapezoid."""
-        t = np.asarray(t, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        if t.ndim != 1 or t.shape != rho.shape or t.size < 2:
-            raise InvalidArgumentError("need matching 1-d (t, rho) arrays")
-        if not np.all(np.diff(t) > 0.0) or t[0] != 0.0 or t[-1] != 1.0:
-            raise InvalidArgumentError("t grid must increase strictly from 0 to 1")
-        pdf_fn = lambda x: np.interp(x, t, rho)
-        return cls("custom", pdf_fn=pdf_fn, table=(t, _cdf_table(t, rho)))
+        """Custom density from a tabulated (t, rho) grid: the piecewise-linear
+        interpolant of rho, divided by its trapezoid total, with its
+        piecewise-quadratic CDF and the exact inverse of that CDF."""
+        return cls("custom", table=(t, rho))
 
     @classmethod
     def from_callable(cls, pdf_fn, n_nodes: int = 8193) -> "Density1D":
+        """Custom density with pdf ``pdf_fn``, sampled by the piecewise-linear
+        table of its values at n_nodes equispaced nodes."""
         _check_counts(n_nodes=(n_nodes, 2))
         t = np.linspace(0.0, 1.0, n_nodes)
-        rho = np.asarray(pdf_fn(t), dtype=float)
-        return cls("custom", pdf_fn=pdf_fn, table=(t, _cdf_table(t, rho)))
+        return cls("custom", pdf_fn=pdf_fn, table=(t, pdf_fn(t)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -334,13 +362,15 @@ class Density1D:
             out = 1.5 * np.sqrt(np.clip(1.0 - x, 0.0, None))
         elif self.form == "general":
             out = _rho_of_w(self.p, _w_of_t(self.p, x))
-        else:
+        elif self._pdf_fn is not None:
             out = np.asarray(self._pdf_fn(x), dtype=float)
+        else:
+            out = np.interp(x, self._table[0], self._table[1])
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def cdf(self, t):
-        """CDF; closed form for every form but ``custom``, whose CDF is the
-        renormalized cumulative trapezoid of its table."""
+        """CDF; closed form for every form, for ``custom`` the quadratic
+        CDF of its table's piecewise-linear density."""
         x = _unit_array(t, "t")
         if self.form == "uniform":
             out = x.copy()
@@ -348,15 +378,20 @@ class Density1D:
             out = 1.0 - (1.0 - x) ** 1.5
         elif self._solved:
             w = _w_of_t(self.p, x)
-            out = np.exp(2.0 / self.p * w) * (1.0 + _p_excess(self.p, -np.expm1(w)))
+            m = -np.expm1(w)
+            q = _p_excess(self.p, m, np.empty_like(m), np.empty_like(m))
+            out = np.exp(2.0 / self.p * w) * (1.0 + q)
         else:
-            out = np.interp(x, self._table_t, self._table_cdf)
+            t_k, rho, cdf, slope = self._table
+            k = _segment_of(t_k, x)
+            tau = x - t_k[k]
+            out = cdf[k] + tau * (rho[k] + 0.5 * slope[k] * tau)
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def ppf(self, u):
         """Inverse CDF; closed form for the uniform and p=2 densities, the
-        curve solve F(s) = u for the other optimal forms, and monotone
-        interpolation of the tabulated CDF for custom densities."""
+        curve solve F(s) = u for the other optimal forms, and the exact
+        inverse of the quadratic table CDF for custom densities."""
         x = _unit_array(u, "u")
         if self.form == "uniform":
             out = x.copy()
@@ -365,18 +400,38 @@ class Density1D:
         elif self._solved:
             out = _t_of_w(self.p, _w_of_u(self.p, x))
         else:
-            out = np.interp(x, self._table_cdf, self._table_t)
+            out = self._table_ppf_pdf(x)[0]
         return float(out[0]) if np.ndim(u) == 0 else out
 
     def ppf_pdf(self, u):
         """(ppf(u), pdf(ppf(u))) for an array u: the sampler's points and the
         density it weights them by.  The solved forms take both from one
-        solve of F(s) = u, so sampling and weighting use the same s."""
+        solve of F(s) = u, so sampling and weighting use the same s, and
+        custom densities both from one solve of their quadratic CDF, with
+        the density of their table (for ``from_callable``, not pdf_fn)."""
         if self._solved:
             w = _w_of_u(self.p, _unit_array(u, "u"))
             return _t_of_w(self.p, w), _rho_of_w(self.p, w)
+        if self.form == "custom":
+            return self._table_ppf_pdf(_unit_array(u, "u"))
         t = np.atleast_1d(self.ppf(u))
         return t, np.atleast_1d(self.pdf(t))
+
+    def _table_ppf_pdf(self, u):
+        """Quantiles of a custom density and its table density there.  On
+        the segment of u, F = F_k + rho_k tau + slope_k tau^2 / 2 with
+        tau = t - t_k, so tau is the stable root 2 du / (rho_k + r),
+        r = sqrt(rho_k^2 + 2 slope_k du), and the density is rho_k +
+        slope_k tau, computed as np.interp does at the returned point."""
+        t_k, rho, cdf, slope = self._table
+        k = _segment_of(cdf, u)
+        du = u - cdf[k]
+        a, b = rho[k], slope[k]
+        den = np.sqrt(np.maximum(a * a + 2.0 * b * du, 0.0))
+        den += a
+        tau = np.divide(2.0 * du, den, out=np.zeros_like(du), where=den > 0.0)
+        t = np.minimum(t_k[k] + tau, t_k[k + 1])
+        return t, b * (t - t_k[k]) + a
 
     def normalization(self) -> float:
         """int_0^1 pdf, by adaptive quadrature on the exact pdf."""
@@ -402,18 +457,34 @@ class Density1D:
         return f"Density1D({self.form!r}{ptag})"
 
 
-def _cdf_table(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of rho on the grid, renormalized so F(1) = 1;
-    rho must be finite and non-negative (NaN fails)."""
-    if rho.shape != t.shape or not np.all((rho >= 0.0) & (rho < math.inf)):
+def _segments(t, rho):
+    """Validated custom table: (t, rho / total, cdf, slopes), where total is
+    the trapezoid integral of rho, cdf the cumulative trapezoid of rho / total
+    at the nodes (ending at exactly 1), and slopes the per-segment slopes of
+    rho / total, as np.interp computes them.  t must run strictly from 0 to
+    1, and rho must be finite and non-negative (NaN fails)."""
+    t = np.asarray(t, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if t.ndim != 1 or t.shape != rho.shape or t.size < 2:
+        raise InvalidArgumentError("need matching 1-d (t, rho) arrays")
+    if not np.all(np.diff(t) > 0.0) or t[0] != 0.0 or t[-1] != 1.0:
+        raise InvalidArgumentError("t grid must increase strictly from 0 to 1")
+    if not np.all((rho >= 0.0) & (rho < math.inf)):
         raise InvalidArgumentError("custom density must be finite and non-negative")
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(t)))
-    )
-    if cdf[-1] <= 0.0:
+    h = np.diff(t)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * h)))
+    total = cdf[-1]
+    if total <= 0.0:
         raise InvalidArgumentError("density integrates to zero")
-    cdf /= cdf[-1]
-    return cdf
+    cdf /= total
+    rho = rho / total
+    return t, rho, cdf, np.diff(rho) / h
+
+
+def _segment_of(nodes, x):
+    """Index k of the segment [nodes[k], nodes[k+1]) holding each x, the
+    last segment for x at or beyond the last node."""
+    return np.minimum(np.searchsorted(nodes, x, side="right"), len(nodes) - 1) - 1
 
 
 # ---------------------------------------------------------------------------

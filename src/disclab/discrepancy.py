@@ -5,7 +5,11 @@ Five mutually cross-checking methods:
 * ``l2_discrepancy_kernel``  -- exact p=2 value via the reproducing kernel
   K_1(x,y) = 1 - max(x,y) and the representer h_d(x) = prod (1-x_j^2)/2.
 * ``lp_discrepancy_d1``      -- exact value for d = 1 and any p, in closed
-  form on each cell between sorted points.
+  form on each cell between sorted points.  Its body, ``_lp_pow_d1``, runs
+  over rows, so the experiment harness evaluates a chunk of replications in
+  one call.  Points are sorted by numpy's default argsort: tied points
+  bound cells of zero width, whose terms cancel exactly, so their order
+  moves the value only by the rounding of the cumulative weights.
 * ``lp_discrepancy_even``    -- exact even-p value (p in {2,4}) by multinomial
   expansion of Delta^p; every term integrates in closed form per coordinate,
   and the N^r index tuples are broadcast one first index at a time.
@@ -206,12 +210,26 @@ class _ExactSum:
         return self._units / (1 << (53 - _EXP_MIN))
 
 
+def _clamp_totals(total: np.ndarray, method: str) -> np.ndarray:
+    """Check an array of integrals of |Delta|^p in place: an entry below
+    -NEG_SQ_TOL raises, one in [-NEG_SQ_TOL, 0) is clamped to 0.  Returns
+    the mask of clamped entries."""
+    low = total < 0.0
+    if low.any():
+        worst = float(total.min())
+        if worst < -NEG_SQ_TOL:
+            raise NumericalInconsistencyError(
+                f"{method}: integral of |Delta|^p came out {worst:.3e} < -{NEG_SQ_TOL}"
+            )
+        total[low] = 0.0
+    return low
+
+
 def _clamped_root(total: float, p: float, method: str) -> tuple[float, bool]:
-    if total < -NEG_SQ_TOL:
-        raise NumericalInconsistencyError(
-            f"{method}: integral of |Delta|^p came out {total:.3e} < -{NEG_SQ_TOL}"
-        )
+    """The 1/p-th root of one integral of |Delta|^p, checked by
+    ``_clamp_totals``'s rule; returns (value, clamped)."""
     if total < 0.0:
+        _clamp_totals(np.array([total]), method)
         return 0.0, True
     return total ** (1.0 / p), False
 
@@ -270,23 +288,50 @@ def l2_discrepancy_kernel(ps: WeightedPointSet) -> DiscrepancyResult:
     )
 
 
+def _lp_pow_d1(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
+    """int_0^1 |Delta|^p for each row of d = 1 rules t, a of shape (R, N).
+
+    c is constant between sorted points, so each of a row's N + 1 cells has
+    the closed form [sign(x - c) |x - c|^{p+1}]/(p+1) between its edges,
+    written with non-negative parts.  Each row is sorted by the default
+    (not stable) argsort, reduced by one pairwise sum, and its value does
+    not depend on the other rows.  Tied points bound a cell of zero width,
+    whose terms cancel exactly, so the order of ties moves a value only by
+    the rounding of the cumulative weights.  Totals are returned unchecked.
+    """
+    order = np.argsort(t, axis=-1)
+    rows = len(t)
+    cum = np.zeros((rows, t.shape[-1] + 1))
+    np.cumsum(np.take_along_axis(a, order, axis=-1), axis=-1, out=cum[:, 1:])
+    edges = np.empty((rows, t.shape[-1] + 2))
+    edges[:, 0], edges[:, -1] = 0.0, 1.0
+    edges[:, 1:-1] = np.take_along_axis(t, order, axis=-1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    pp1 = p + 1.0
+
+    def part(x, y):
+        # max(x - y, 0)^(p+1)
+        z = np.subtract(x, y)
+        np.maximum(z, 0.0, out=z)
+        return np.power(z, pp1, out=z)
+
+    terms = part(cum, lo)
+    terms -= part(cum, hi)
+    terms += part(hi, cum)
+    terms -= part(lo, cum)
+    return np.sum(terms, axis=-1) / pp1
+
+
 def lp_discrepancy_d1(ps: WeightedPointSet, p: float) -> DiscrepancyResult:
     """Exact L_p for d = 1 and any p >= 1: c is constant between sorted
-    points, so each of the N + 1 cells (``evaluations``) has a closed form."""
+    points, so each of the N + 1 cells (``evaluations``) has a closed form
+    (``_lp_pow_d1`` with one row).  The sort is numpy's default argsort,
+    not a stable one: the order of tied points cannot change the value
+    beyond the rounding of the cumulative weights (see ``_lp_pow_d1``)."""
     _check_p(p)
     if ps.d != 1:
         raise InvalidArgumentError(f"the exact d = 1 method needs d = 1, got d={ps.d}")
-    t = ps.points[:, 0]
-    order = np.argsort(t, kind="stable")
-    cum = np.concatenate(([0.0], np.cumsum(ps.weights[order])))
-    edges = np.concatenate(([0.0], t[order], [1.0]))
-    lo, hi = edges[:-1], edges[1:]
-    pp1 = p + 1.0
-    a1 = np.clip(cum - lo, 0.0, None)
-    a2 = np.clip(cum - hi, 0.0, None)
-    b1 = np.clip(hi - cum, 0.0, None)
-    b2 = np.clip(lo - cum, 0.0, None)
-    total = float(np.sum(a1 ** pp1 - a2 ** pp1 + b1 ** pp1 - b2 ** pp1) / pp1)
+    total = float(_lp_pow_d1(ps.points.T, ps.weights[None, :], p)[0])
     value, clamped = _clamped_root(total, p, "exact_d1")
     return DiscrepancyResult(
         value=value, p=float(p), method="exact_d1", abs_error_estimate=0.0,

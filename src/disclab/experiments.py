@@ -11,10 +11,12 @@ produce bit-identical reports regardless of replication order.
 Replications run in chunks of R with R*N*N*d <= ``BLOCK_ELEMS`` (R >= 1):
 each replication draws its uniforms from its own stream, then one
 ``ppf_pdf`` call per chunk gives the points and the exact density that
-weights them, and at p = 2 one batched kernel call gives the kernel terms of
+weights them.  At p = 2 one batched kernel call gives the kernel terms of
 the whole chunk (in row blocks when one replication alone exceeds
-``BLOCK_ELEMS``).  Any other method, as ``discrepancy.method_for`` picks it,
-goes through ``evaluate`` one replication at a time.  A replication's stream
+``BLOCK_ELEMS``), and at d = 1 the exact method of ``lp_discrepancy_d1``
+runs once over the chunk's rows, with no point set built per replication.
+Any other method, as ``discrepancy.method_for`` picks it, goes through
+``evaluate`` one replication at a time.  A replication's stream
 also serves its redraws and any Monte Carlo seed, in that order, so chunking
 leaves every draw unchanged.  Aggregation order is fixed.
 """
@@ -34,7 +36,9 @@ from .density import Density1D, optimal_density
 from .discrepancy import (
     BLOCK_ELEMS,
     METHODS,
+    _clamp_totals,
     _kernel_block,
+    _lp_pow_d1,
     c_kernel,
     evaluate,
     method_for,
@@ -235,7 +239,13 @@ def _lp_pow_values(p, n, d, marginal, evaluator, replications, stream, c_factor=
     """Integral of |Delta|^p for each replication, replication r drawn from
     ``_rng(*stream, r)`` with weights scaled by ``c_factor``, by the method
     ``method_for`` picks for the config ``evaluator``.  Returns
-    (values, resample_count)."""
+    (values, resample_count).
+
+    A chunk of replications goes through one batched call at p = 2 (the
+    kernel sums) and at d = 1 under ``auto`` (``_lp_pow_d1``, whose totals
+    are kept as they are, with ``lp_discrepancy_d1``'s check and clamp, not
+    taken to the 1/p-th root and back).  Any other method runs ``evaluate``
+    one replication at a time."""
     method = _method_name(evaluator)
     tag = method_for(p, d, method, n)
     samples = max(8192, 4 * n)
@@ -249,6 +259,11 @@ def _lp_pow_values(p, n, d, marginal, evaluator, replications, stream, c_factor=
         if tag == "kernel_p2":
             t1, t2 = _kernel_sums(t, a)
             values[reps.start:reps.stop] = 3.0 ** (-d) - 2.0 * t1 + t2
+            continue
+        if tag == "exact_d1":
+            total = _lp_pow_d1(t[..., 0], a, p)
+            _clamp_totals(total, tag)
+            values[reps.start:reps.stop] = total
             continue
         for r, tr, ar, rng in zip(reps, t, a, rngs):
             seed = int(rng.integers(0, 2 ** 63 - 1)) if tag == "monte_carlo" else None

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from disclab import density
 from disclab.density import (
     Density1D,
     J_functional,
@@ -33,6 +34,49 @@ RHO_GOLDEN = {
     (100.0, 0.7): 1.0099999932513829,
     (100.0, 0.99): 0.7042669832834188,
 }
+
+
+# the curve solve as it was before it wrote into preallocated buffers,
+# verbatim: every step allocates its temporaries and clips with np.clip
+
+def _log_x_alloc(p, w):
+    """log x(s) and its derivative in w = log s."""
+    e = 2.0 / p
+    m = -np.expm1(w)  # 1 - s, exact near s = 1
+    return e * w + np.log1p(e * m), e * (1.0 + e) * m / (1.0 + e * m)
+
+
+def _p_excess_alloc(p, m):
+    """P(s)/c - 1 at m = 1 - s: a sum of non-negative terms, so it keeps
+    its relative precision near s = 1."""
+    return (2.0 / p * m * m + m * (2.0 - m) / (p + 1.0)) * ((p + 1.0) / p)
+
+
+def _log_cdf_alloc(p, w):
+    """log F(s) and its derivative in w = log s."""
+    e, c = 2.0 / p, p / (p + 1.0)
+    m = -np.expm1(w)
+    q = _p_excess_alloc(p, m)
+    return e * w + np.log1p(q), e * (1.0 + e) * m * m / (c * (1.0 + q))
+
+
+def _solve_w_alloc(p, y, log_f, log_scale, m_hi):
+    e = 2.0 / p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_y = np.log(y)
+        w_lo = 0.5 * p * (log_y + log_scale - math.log1p(e))
+        w = np.maximum(w_lo, np.log1p(-np.minimum(m_hi, 1.0)))
+        for _ in range(density.NEWTON_STEPS):
+            val, slope = log_f(p, w)
+            res = val - log_y
+            step = np.divide(res, slope, out=np.zeros_like(res), where=slope > 0.0)
+            w = np.clip(w - step, w_lo, 0.0)
+    assert not np.any(np.abs(res) > density.SOLVE_TOL)
+    return np.where(y > 0.0, w, -np.inf)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 class TestClosedForms:
@@ -155,6 +199,43 @@ class TestSolvedDensities:
             assert cdf[0] == pytest.approx(0.0, abs=1e-10)
             assert cdf[-1] == pytest.approx(1.0, abs=1e-10)
             assert np.all(np.diff(cdf) >= -1e-15)
+
+
+class TestInPlaceSolve:
+    """The buffered Newton solve against the allocating one, bit for bit."""
+
+    TARGETS = np.concatenate((
+        [0.0, 1e-320, 1e-12, 1.0 - 2.0 ** -53, 1.0],
+        np.random.default_rng(2718).random(500),
+    ))
+
+    @pytest.mark.parametrize("p", (1.0, 1.5, 3.0, 94.6, 1e3, 1e6))
+    def test_solve_w_bit_for_bit(self, p):
+        y, e, c = self.TARGETS, 2.0 / p, p / (p + 1.0)
+        m_x = np.sqrt(2.0 * (1.0 - y) / (e * (1.0 + e)))
+        m_f = np.cbrt(3.0 * c * (1.0 - y) / (e * (1.0 + e)))
+        w_t = density._solve_w(p, y, density._log_x, 0.0, m_x)
+        w_u = density._solve_w(p, y, density._log_cdf, math.log(c), m_f)
+        assert same_bits(w_t, _solve_w_alloc(p, y, _log_x_alloc, 0.0, m_x))
+        assert same_bits(w_u, _solve_w_alloc(p, y, _log_cdf_alloc, math.log(c), m_f))
+        cdf = np.exp(e * w_t) * (1.0 + _p_excess_alloc(p, -np.expm1(w_t)))
+        assert same_bits(Density1D.general(p).cdf(y), cdf)
+
+    @pytest.mark.parametrize("p", (1.0, 1.5, 3.0, 94.6))
+    def test_public_outputs_bit_for_bit(self, p):
+        y, e, c = self.TARGETS, 2.0 / p, p / (p + 1.0)
+        dens = optimal_density(p)
+        w_u = _solve_w_alloc(p, y, _log_cdf_alloc, math.log(c),
+                             np.cbrt(3.0 * c * (1.0 - y) / (e * (1.0 + e))))
+        t = np.exp(e * w_u) * (1.0 - e * np.expm1(w_u))
+        rho = -np.expm1(w_u) * ((p + 1.0) / p)
+        got_t, got_rho = dens.ppf_pdf(y)
+        assert same_bits(got_t, t) and same_bits(got_rho, rho)
+        assert same_bits(dens.ppf(y), t)
+        if p != 1.0:
+            w_t = _solve_w_alloc(p, y, _log_x_alloc, 0.0,
+                                 np.sqrt(2.0 * (1.0 - y) / (e * (1.0 + e))))
+            assert same_bits(dens.pdf(y), -np.expm1(w_t) * ((p + 1.0) / p))
 
 
 class TestSOfX:
@@ -329,6 +410,56 @@ class TestCustomDensities:
         dens = Density1D.from_table([0.0, 1.0], [2.0, 0.0])
         assert dens.pdf(0.25) == pytest.approx(1.5)
         assert dens.cdf(1.0) == pytest.approx(1.0)
+
+    @staticmethod
+    def rho2_table(tmp_path, n=257):
+        path = tmp_path / "rho_p2.csv"
+        optimal_density(2.0).export_csv(path, n=n)
+        t, rho = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1)).T
+        return t, Density1D.from_table(t, rho)
+
+    def test_table_pdf_is_normalized(self):
+        # the raw table integrates to 2 by the trapezoid rule
+        t = np.array([0.0, 0.25, 1.0])
+        dens = Density1D.from_table(t, [4.0, 2.0, 1.0])
+        total = 0.25 * 3.0 + 0.75 * 1.5
+        np.testing.assert_allclose(dens.pdf(t), np.array([4.0, 2.0, 1.0]) / total, rtol=1e-15)
+        assert dens.cdf(1.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_segment_probabilities_under_ppf(self, tmp_path):
+        # ppf maps each node's CDF value to the node and is monotone, so the
+        # sampler puts F(t_k+1) - F(t_k) on segment k, which is the integral
+        # of the piecewise-linear pdf over it
+        t, dens = self.rho2_table(tmp_path)
+        cdf = dens.cdf(t)
+        assert np.array_equal(dens.ppf(cdf[:-1]), t[:-1])
+        assert np.all(np.diff(dens.ppf(np.linspace(0.0, 1.0, 100_001))) >= 0.0)
+        rho = dens.pdf(t)
+        np.testing.assert_allclose(np.diff(cdf), 0.5 * (rho[1:] + rho[:-1]) * np.diff(t),
+                                   rtol=1e-12, atol=1e-17)
+        for lo, hi in ((0.0, 0.5), (0.5, 0.9), (0.9, 1.0)):
+            k = (t >= lo) & (t <= hi)
+            exact = quad(dens.pdf, lo, hi, points=t[k], limit=300, epsabs=1e-15)[0]
+            assert dens.cdf(hi) - dens.cdf(lo) == pytest.approx(exact, rel=1e-12)
+
+    def test_ppf_pdf_is_the_pdf_at_the_quantile(self, tmp_path):
+        _, dens = self.rho2_table(tmp_path)
+        u = np.concatenate(((np.arange(2 ** 12) + 0.5) / 2 ** 12,
+                            np.random.default_rng(9).random(4000), [0.0]))
+        x, rho = dens.ppf_pdf(u)
+        assert np.array_equal(x, dens.ppf(u))
+        np.testing.assert_allclose(rho, dens.pdf(x), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(dens.cdf(x), u, rtol=0.0, atol=4e-16)
+
+    def test_mean_inverse_density_under_sampling(self, tmp_path):
+        # E[1/rho(T)] = int q/rho = 1 when the sampled density q is rho.
+        # 1/rho grows like (1 - u)^{-1/2} toward u = 1 here, and the midpoint
+        # sum misses about 3e-4 of that tail at 2^16 points.  A table sampled
+        # with a piecewise-constant density had 1/rho ~ 1/(1 - u) on its
+        # last segment and gave 1.0049.
+        _, dens = self.rho2_table(tmp_path)
+        _, rho = dens.ppf_pdf((np.arange(2 ** 16) + 0.5) / 2 ** 16)
+        assert abs(np.mean(1.0 / rho) - 1.0) <= 1e-3
 
     def test_from_callable_rejects_negative(self):
         with pytest.raises(InvalidArgumentError):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from disclab import discrepancy
@@ -15,6 +17,7 @@ from disclab.discrepancy import (
     MAX_CELLS,
     DiscrepancyResult,
     _ExactSum,
+    _lp_pow_d1,
     c_kernel,
     evaluate,
     l2_discrepancy_kernel,
@@ -53,6 +56,27 @@ def lp_pow_d1_reference(t, a, p):
         return np.sign(x - c) * np.abs(x - c) ** (p + 1.0) / (p + 1.0)
 
     return math.fsum(antiderivative(edges[1:]) - antiderivative(edges[:-1]))
+
+
+def lp_discrepancy_d1_stable_sort(ps, p):
+    """lp_discrepancy_d1 as it was before the batched routine (stable sort,
+    np.clip, one 1-d sum), argument checks left out."""
+    t = ps.points[:, 0]
+    order = np.argsort(t, kind="stable")
+    cum = np.concatenate(([0.0], np.cumsum(ps.weights[order])))
+    edges = np.concatenate(([0.0], t[order], [1.0]))
+    lo, hi = edges[:-1], edges[1:]
+    pp1 = p + 1.0
+    a1 = np.clip(cum - lo, 0.0, None)
+    a2 = np.clip(cum - hi, 0.0, None)
+    b1 = np.clip(hi - cum, 0.0, None)
+    b2 = np.clip(lo - cum, 0.0, None)
+    total = float(np.sum(a1 ** pp1 - a2 ** pp1 + b1 ** pp1 - b2 ** pp1) / pp1)
+    value, clamped = discrepancy._clamped_root(total, p, "exact_d1")
+    return DiscrepancyResult(
+        value=value, p=float(p), method="exact_d1", abs_error_estimate=0.0,
+        evaluations=ps.n + 1, d=1, n=ps.n, clamped=clamped,
+    )
 
 
 def kernel_reference(pts, a):
@@ -387,6 +411,58 @@ class TestExactD1:
     def test_rejects_other_dimensions(self):
         with pytest.raises(InvalidArgumentError):
             lp_discrepancy_d1(WeightedPointSet([[0.5, 0.5]], [1.0]), 1.5)
+
+    @pytest.mark.parametrize("p", (1.0, 1.5, 2.0, 3.0, 7.5))
+    def test_equals_stable_sort_version_without_ties(self, p):
+        # without ties every sort gives one order, and the batched routine
+        # runs the same operations: bit for bit
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3, 8, 100, 127, 1000, 4096):
+            t, a = rng.random(n), rng.random(n) / n * 1.5
+            assert len(np.unique(t)) == n
+            ps = WeightedPointSet(t[:, None], a)
+            assert lp_discrepancy_d1(ps, p) == lp_discrepancy_d1_stable_sort(ps, p)
+
+    @pytest.mark.parametrize("p", (1.0, 1.5, 3.0))
+    def test_near_stable_sort_version_with_ties(self, p):
+        # the order of ties moves only the rounding of the cumulative weights
+        rules = d1_rules(60, seed=44)
+        rng = np.random.default_rng(45)
+        t = np.repeat(rng.random(50), 20)  # large rule, many ties
+        rules.append((t, rng.random(t.size) / t.size * np.repeat([0.0, 1.0], 500)))
+        for t, a in rules:
+            ps = WeightedPointSet(t[:, None], a)
+            new, old = lp_discrepancy_d1(ps, p), lp_discrepancy_d1_stable_sort(ps, p)
+            assert new.value == pytest.approx(old.value, rel=1e-13, abs=0.0)
+            assert (new.method, new.evaluations, new.clamped) == (
+                old.method, old.evaluations, old.clamped)
+
+
+@st.composite
+def d1_batches(draw):
+    """(t, a, p) with t, a of shape (R, N): coordinates from a coarse grid or
+    anywhere in [0, 1), so that ties are common, and weights that may be 0."""
+    rows = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    coord = st.one_of(st.integers(0, 15).map(lambda k: k / 16.0),
+                      st.floats(0.0, 1.0, exclude_max=True))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.5 / n))
+    t = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=rows, max_size=rows))
+    a = draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=rows, max_size=rows))
+    p = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0, 4.5)))
+    return np.array(t), np.array(a), p
+
+
+class TestLpPowD1Batch:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(d1_batches())
+    def test_rows_equal_one_row_calls_and_reference(self, batch):
+        t, a, p = batch
+        total = _lp_pow_d1(t, a, p)
+        for r in range(len(t)):
+            one = _lp_pow_d1(t[r:r + 1], a[r:r + 1], p)
+            assert total[r].tobytes() == one[0].tobytes()
+            assert total[r] == pytest.approx(lp_pow_d1_reference(t[r], a[r], p), rel=1e-13, abs=0.0)
 
 
 def mc_tensor_reference(ps, p, samples, seed):

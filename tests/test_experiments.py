@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from disclab import experiments
 from disclab.core import ProductDensity, WeightedPointSet, weights_from_density
 from disclab.density import optimal_density
 from disclab.discrepancy import (
@@ -16,7 +17,7 @@ from disclab.discrepancy import (
     evaluate,
     lp_discrepancy_cells,
 )
-from disclab.errors import DisclabError, InvalidArgumentError
+from disclab.errors import DisclabError, InvalidArgumentError, NumericalInconsistencyError
 from disclab.experiments import (
     ExperimentConfig,
     _chunks,
@@ -33,6 +34,7 @@ from disclab.experiments import (
     run_average_discrepancy,
     stability_metrics,
 )
+from test_discrepancy import lp_pow_d1_reference
 
 
 def make_config(**kw):
@@ -267,6 +269,50 @@ class TestChunkedHarness:
         assert resamples == ref_resamples
         np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
 
+
+    @pytest.mark.parametrize("kind", ("uniform", "optimal"))
+    @pytest.mark.parametrize("p", (1.0, 1.5, 3.0))
+    @pytest.mark.parametrize("n,reps", [(40, 25), (128, 3), (3, 1900)])
+    def test_d1_matches_per_replication_reference(self, kind, p, n, reps):
+        # chunks of 10 (N = 40), of one (N = 128) and of 1820 (N = 3)
+        # replications, each cut inside the run
+        seed = 606
+        assert len(_chunks(reps, n, 1)) > 1
+        marginal = _marginal_for(kind, p)
+        ref = np.empty(reps)
+        for r in range(reps):
+            t, a, _ = sample_rep_reference(_rng(seed, r), n, 1, marginal)
+            ref[r] = lp_pow_d1_reference(t[:, 0], a, p)
+        values, resamples = _lp_pow_values(p, n, 1, marginal, "auto", reps, (seed,))
+        assert resamples == 0
+        np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0.0)
+        rep = run_average_discrepancy(ExperimentConfig(
+            p=p, d=1, N=n, density_kind=kind, replications=reps, seed=seed))
+        assert rep.mean_Lp_p == pytest.approx(ref.mean(), rel=1e-13)
+        assert rep.std_error == pytest.approx(ref.std(ddof=1) / math.sqrt(reps), rel=1e-10)
+
+    def test_d1_batch_checks_each_total(self, monkeypatch):
+        # the rule of lp_discrepancy_d1, row by row: below -NEG_SQ_TOL raises,
+        # a smaller negative total becomes 0
+        marginal = _marginal_for("uniform", 1.5)
+
+        def totals(value):
+            def fake(t, a, p):
+                out = np.full(len(t), 0.25)
+                out[-1] = value
+                return out
+            return fake
+
+        monkeypatch.setattr(experiments, "_lp_pow_d1", totals(-2e-12))
+        with pytest.raises(NumericalInconsistencyError, match="exact_d1"):
+            _lp_pow_values(1.5, 8, 1, marginal, "auto", 300, (1,))
+        monkeypatch.setattr(experiments, "_lp_pow_d1", totals(-5e-13))
+        values, _ = _lp_pow_values(1.5, 8, 1, marginal, "auto", 300, (1,))
+        chunks = _chunks(300, 8, 1)
+        assert len(chunks) == 2
+        ends = [c.stop - 1 for c in chunks]
+        assert np.all(values[ends] == 0.0)
+        assert np.all(np.delete(values, ends) == 0.25)
 
     def test_cells_evaluator_at_d1_runs_cells(self):
         # at d = 1 the cell_quadrature setting once ran the exact formula
